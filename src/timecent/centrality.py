@@ -21,14 +21,20 @@ render values as their float repr and INF as the literal `inf`.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Literal, Sequence
 
 import numpy as np
 
-from .diffusion import CoverageThreshold, spread_milestones
+from .diffusion import (
+    NEVER,
+    CoverageThreshold,
+    check_phi,
+    check_tau,
+    earliest_arrivals,
+    spread_milestones,
+)
 from .tvg import TVG
 
 INF = math.inf
@@ -50,16 +56,11 @@ class MetricSpec:
 
     @classmethod
     def ct(cls, tau: Fraction | str) -> MetricSpec:
-        frac = Fraction(tau)
-        if not 0 < frac <= 1:
-            raise ValueError(f"tau must be in (0, 1], got {frac}")
-        return cls("ct", tau=frac)
+        return cls("ct", tau=check_tau(tau))
 
     @classmethod
     def tcc(cls, phi: int) -> MetricSpec:
-        if phi < 1:
-            raise ValueError("phi must be at least 1")
-        return cls("tcc", phi=phi)
+        return cls("tcc", phi=check_phi(phi))
 
     def label(self) -> str:
         if self.kind == "ct":
@@ -115,49 +116,30 @@ def cover_time(tvg: TVG, t_i: int, thr: CoverageThreshold) -> MetricValue:
 
 def tcc(tvg: TVG, t_i: int, phi: int) -> Fraction:
     """Time-constrained coverage of one instant for step budget phi."""
-    if phi < 1:
-        raise ValueError("phi must be at least 1")
+    check_phi(phi)
     if tvg.num_nodes == 0:
         raise ValueError("TVG has no nodes")
     milestones = spread_milestones(tvg, t_i, max_steps=phi)
     return Fraction(sum(len(m) for m in milestones), tvg.num_nodes ** 2)
 
 
-def _eval_instant(tvg: TVG, metric: MetricSpec, t_i: int) -> tuple[int, MetricValue, int]:
-    if metric.kind == "ct":
-        thr = CoverageThreshold.of(metric.tau, tvg.num_nodes)
-        value, unreached = _cover_time_detail(tvg, t_i, thr)
-        return t_i, value, unreached
-    return t_i, tcc(tvg, t_i, metric.phi), 0
-
-
-_worker_tvg: TVG | None = None
-_worker_metric: MetricSpec | None = None
-
-
-def _init_worker(tvg: TVG, metric: MetricSpec) -> None:
-    global _worker_tvg, _worker_metric
-    _worker_tvg = tvg
-    _worker_metric = metric
-
-
-def _eval_in_worker(t_i: int) -> tuple[int, MetricValue, int]:
-    return _eval_instant(_worker_tvg, _worker_metric, t_i)
-
-
 def metric_sweep(
     tvg: TVG,
     metric: MetricSpec,
     eval_range: tuple[int, int] | None = None,
-    workers: int = 1,
 ) -> MetricTable:
     """Compute a metric for every instant of a half-open range.
 
-    Per-instant computations are independent reads of the shared TVG and
-    are distributed over worker processes when workers > 1; the assembled
-    table does not depend on the worker count.
+    One backward pass of diffusion.earliest_arrivals serves every instant;
+    each instant's arrival matrix is reduced to its value at once. ct takes
+    per start the required_count-th earliest arrival (a row-wise
+    partition) and reads all snapshots to the end, since a start may meet
+    its threshold at the last one; tcc counts the arrivals within phi
+    steps and reads no snapshot past the last instant's budget. Values
+    equal cover_time and tcc of each instant.
     """
-    if tvg.num_nodes == 0:
+    n = tvg.num_nodes
+    if n == 0:
         raise ValueError("TVG has no nodes")
     if eval_range is None:
         eval_range = default_eval_range(tvg.num_instants)
@@ -166,18 +148,28 @@ def metric_sweep(
         raise ValueError(
             f"evaluation range [{first},{last}) invalid for {tvg.num_instants} instants"
         )
-    instants = range(first, last)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(tvg, metric)
-        ) as pool:
-            chunk = max(1, len(instants) // (workers * 4))
-            results = list(pool.map(_eval_in_worker, instants, chunksize=chunk))
+    values: dict[int, MetricValue] = {}
+    unreached: dict[int, int] = {}
+    if metric.kind == "ct":
+        kth = CoverageThreshold.of(metric.tau, n).required_count - 1
+        for t_i, arrival in earliest_arrivals(tvg, first, last, tvg.num_instants - 1):
+            cover = np.partition(arrival, kth, axis=1)[:, kth]
+            unreached[t_i] = int(np.count_nonzero(cover == NEVER))
+            if unreached[t_i]:
+                values[t_i] = INF
+            else:
+                values[t_i] = Fraction(int(cover.sum(dtype=np.int64)) - n * (t_i - 1), n)
     else:
-        results = [_eval_instant(tvg, metric, t_i) for t_i in instants]
-    values = {t_i: v for t_i, v, _ in results}
-    unreached = {t_i: u for t_i, _, u in results}
-    return MetricTable(metric, values, (first, last), unreached)
+        phi = metric.phi
+        top = min(tvg.num_instants - 1, last - 2 + phi)
+        for t_i, arrival in earliest_arrivals(tvg, first, last, top):
+            within = min(t_i - 1 + phi, top)  # no arrival exceeds top
+            values[t_i] = Fraction(int(np.count_nonzero(arrival <= within)), n * n)
+            unreached[t_i] = 0
+    # the pass runs backward; keep the tables in ascending instant order
+    return MetricTable(
+        metric, dict(reversed(values.items())), (first, last), dict(reversed(unreached.items()))
+    )
 
 
 def _sort_key_low(item: tuple[int, MetricValue]) -> tuple[int, MetricValue, int]:

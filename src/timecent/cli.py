@@ -12,12 +12,12 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import IO, Sequence
 
 from . import __version__
 from .centrality import (
     MetricSpec,
+    MetricTable,
     comparison_summary,
     compare_topk_random,
     default_eval_range,
@@ -47,16 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_tau(text: str) -> Fraction:
-    try:
-        tau = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"invalid tau {text!r}") from None
-    if not 0 < tau <= 1:
-        raise _UsageError(f"tau must be in (0, 1], got {text}")
-    return tau
-
-
 def _parse_range(text: str, num_instants: int) -> tuple[int, int]:
     try:
         first_text, last_text = text.split(":")
@@ -80,6 +70,11 @@ def _print_header(args: argparse.Namespace, config: dict[str, object]) -> None:
 def _write_text(path: str, writer) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer(fh)
+
+
+# A sweep is one single-threaded pass; the flag is kept so that existing
+# command lines still run, and is echoed in the header (0 = all cores).
+WORKERS_HELP = "accepted for compatibility, no effect on the sweep"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--phi", type=int, required=True, help="step budget")
         p.add_argument("--range", dest="eval_range", default=None, help="FIRST:LAST, half open")
-        p.add_argument("--workers", type=int, default=0, help="0 means all cores")
+        p.add_argument("--workers", type=int, default=0, help=WORKERS_HELP)
         p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("dist", help="empirical distribution of a metric table")
@@ -140,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10, help="top set size")
     p.add_argument("--seed", type=int, required=True, help="seed for the random baseline")
     p.add_argument("--range", dest="eval_range", default=None, help="FIRST:LAST, half open")
-    p.add_argument("--workers", type=int, default=0, help="0 means all cores")
+    p.add_argument("--workers", type=int, default=0, help=WORKERS_HELP)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("churn", help="contact churn rate of a TVG")
@@ -210,27 +205,24 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _sweep_args_to_spec(args: argparse.Namespace) -> MetricSpec:
-    if args.command == "ct" or (args.command == "compare" and args.metric == "ct"):
-        if getattr(args, "tau", None) is None:
-            raise _UsageError("cover time needs --tau")
-        return MetricSpec.ct(_parse_tau(args.tau))
-    phi = getattr(args, "phi", None)
-    if phi is None:
-        raise _UsageError("coverage needs --phi")
-    if phi < 1:
-        raise _UsageError("phi must be at least 1")
-    return MetricSpec.tcc(phi)
+    kind = getattr(args, "metric", args.command)  # compare names it, ct/tcc are it
+    try:
+        if kind == "ct":
+            if args.tau is None:
+                raise _UsageError("cover time needs --tau")
+            return MetricSpec.ct(args.tau)
+        if args.phi is None:
+            raise _UsageError("coverage needs --phi")
+        return MetricSpec.tcc(args.phi)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
-def _resolve_workers(requested: int) -> int:
-    if requested < 0:
-        raise _UsageError("workers must be non-negative")
-    if requested == 0:
-        return os.cpu_count() or 1
-    return requested
+def _sweep(args: argparse.Namespace, config: dict[str, object]) -> tuple[TVG, MetricTable]:
+    """Load, validate and announce the sweep of a ct/tcc/compare run, then run it.
 
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
+    `config` holds the command's own header fields, printed after the metric.
+    """
     metric = _sweep_args_to_spec(args)
     tvg = load_tvg(args.input)
     eval_range = (
@@ -238,18 +230,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.eval_range is None
         else _parse_range(args.eval_range, tvg.num_instants)
     )
-    workers = _resolve_workers(args.workers)
+    if args.workers < 0:
+        raise _UsageError("workers must be non-negative")
     _print_header(
         args,
         {
             "input": args.input,
             "metric": metric.label(),
+            **config,
             "range": f"{eval_range[0]}:{eval_range[1]}",
-            "workers": workers,
+            "workers": args.workers or os.cpu_count() or 1,
             "out": args.out,
         },
     )
-    table = metric_sweep(tvg, metric, eval_range, workers=workers)
+    return tvg, metric_sweep(tvg, metric, eval_range)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    _, table = _sweep(args, {})
     _write_text(args.out, lambda fh: write_table_csv(table, fh))
     print(f"wrote {args.out}: {len(table.values)} rows")
     return 0
@@ -290,27 +288,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise _UsageError("k must be at least 1")
-    metric = _sweep_args_to_spec(args)
-    tvg = load_tvg(args.input)
-    eval_range = (
-        default_eval_range(tvg.num_instants)
-        if args.eval_range is None
-        else _parse_range(args.eval_range, tvg.num_instants)
-    )
-    workers = _resolve_workers(args.workers)
-    _print_header(
-        args,
-        {
-            "input": args.input,
-            "metric": metric.label(),
-            "k": args.k,
-            "seed": args.seed,
-            "range": f"{eval_range[0]}:{eval_range[1]}",
-            "workers": workers,
-            "out": args.out,
-        },
-    )
-    table = metric_sweep(tvg, metric, eval_range, workers=workers)
+    tvg, table = _sweep(args, {"k": args.k, "seed": args.seed})
     report = compare_topk_random(tvg, table, args.k, args.seed)
     _write_text(args.out, lambda fh: write_comparison_csv(report, fh))
     print(comparison_summary(report))

@@ -15,15 +15,21 @@ snapshots run out.
 
 Informed sets are held as int bitmasks (bit v = node v informed); the
 helpers below convert to frozensets at the API boundary. spread_milestones
-runs all |V| start nodes of one instant simultaneously, which is what the
-centrality sweeps build on.
+runs all |V| start nodes of one instant simultaneously; the single-instant
+cover_time and tcc of timecent.centrality build on it.
+
+earliest_arrivals answers every start node of every instant of a range in
+one backward pass over the snapshots; the centrality sweeps build on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator
+
+import numpy as np
 
 from .tvg import TVG, TemporalNode
 
@@ -40,6 +46,24 @@ class _Unreached:
 UNREACHED = _Unreached()
 
 
+def check_tau(tau: Fraction | str | int) -> Fraction:
+    """tau as an exact Fraction; ValueError unless it parses and is in (0, 1]."""
+    try:
+        frac = Fraction(tau)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid tau {tau!r}") from None
+    if not 0 < frac <= 1:
+        raise ValueError(f"tau must be in (0, 1], got {frac}")
+    return frac
+
+
+def check_phi(phi: int) -> int:
+    """phi unchanged; ValueError unless it is a step budget of at least 1."""
+    if phi < 1:
+        raise ValueError("phi must be at least 1")
+    return phi
+
+
 @dataclass(frozen=True)
 class CoverageThreshold:
     """Fraction of nodes a diffusion must inform, as an exact count.
@@ -54,9 +78,7 @@ class CoverageThreshold:
 
     @classmethod
     def of(cls, tau: Fraction | str | int, num_nodes: int) -> CoverageThreshold:
-        frac = Fraction(tau)
-        if not 0 < frac <= 1:
-            raise ValueError(f"tau must be in (0, 1], got {frac}")
+        frac = check_tau(tau)
         if num_nodes < 1:
             raise ValueError("threshold needs at least one node")
         required = -((-frac.numerator * num_nodes) // frac.denominator)
@@ -163,9 +185,7 @@ def cover_steps(
 
 def constrained_count(tvg: TVG, start: TemporalNode, phi: int) -> int:
     """Number of nodes informed after at most phi steps (start included)."""
-    if phi < 1:
-        raise ValueError("phi must be at least 1")
-    return diffuse(tvg, start, max_steps=phi).sizes[-1]
+    return diffuse(tvg, start, max_steps=check_phi(phi)).sizes[-1]
 
 
 def spread_milestones(
@@ -239,3 +259,53 @@ def spread_milestones(
         if stop_count is not None and pending == 0:
             break
     return milestones
+
+
+# Largest node count earliest_arrivals accepts: its state is one n x n
+# int32 matrix, 256 MiB at this size.
+MAX_SWEEP_NODES = 8192
+
+# Arrival entry of a node the flood never informs.
+NEVER = np.iinfo(np.int32).max
+
+
+def earliest_arrivals(
+    tvg: TVG, first: int, last: int, top: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t, E) for t = last - 1 down to first, from one backward pass.
+
+    Needs 0 <= first < last <= top + 1 <= num_instants.
+
+    E[u, v] is the last snapshot index the diffusion from (u, t) consumes
+    before v is informed, so v joins at step E[u, v] - t + 1. The diagonal
+    is t - 1 (step 0), and NEVER marks a node not informed through snapshot
+    top; later snapshots are never read.
+
+    Flooding from a set is the union of the floods from its members, so
+    E_t[u] is the elementwise minimum of E_{t+1}[w] over w in {u} and the
+    neighbours of u at t, with E_{t+1}[w, w] = t. A snapshot rewrites only
+    the rows of its contact nodes, and an empty one costs nothing; the n^2
+    work is the caller's reduction at each yielded instant. E is one array
+    updated in place: reduce it before the next iteration.
+    """
+    n = tvg.num_nodes
+    if n > MAX_SWEEP_NODES:
+        raise ValueError(f"{n} nodes exceed the sweep limit of {MAX_SWEEP_NODES} nodes")
+    arrival = np.full((n, n), NEVER, dtype=np.int32)
+    diagonal = arrival.reshape(-1)[:: n + 1]
+    snapshots = tvg.snapshots
+    for t in range(top, first - 1, -1):
+        adjacency = snapshots[t].adjacency
+        if adjacency:
+            # by degree, highest first: the nodes with a k-th neighbour are a prefix
+            nodes = sorted(adjacency, key=lambda u: -len(adjacency[u]))
+            # the diagonal is only kept at yields; the rows read here need E_{t+1}[w, w] = t
+            arrival[nodes, nodes] = t
+            rows = arrival[nodes]
+            for column in zip_longest(*(adjacency[u] for u in nodes)):
+                kth = [w for w in column if w is not None]
+                np.minimum(rows[: len(kth)], arrival[kth], out=rows[: len(kth)])
+            arrival[nodes] = rows
+        if t < last:
+            diagonal[:] = t - 1
+            yield t, arrival

@@ -109,8 +109,8 @@ _EMPTY_SNAPSHOT = Snapshot()
 class TVG:
     """A time-varying graph as an immutable sequence of snapshots.
 
-    Instances are safe for concurrent read access by many workers;
-    construct once, then share.
+    Instances are not modified after construction; construct once, then
+    share.
     """
 
     __slots__ = ("num_nodes", "num_instants", "snapshots", "node_labels")

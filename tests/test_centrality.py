@@ -23,6 +23,7 @@ from timecent import (
     tcc,
 )
 from timecent.centrality import (
+    _cover_time_detail,
     comparison_summary,
     format_value,
     read_table_csv,
@@ -84,6 +85,42 @@ def test_metric_sweep_ct_micro(chain4):
     assert table.values == {0: Fraction(7, 4), 1: INF, 2: INF}
     # start a never meets 2 nodes from t1 or t2; everyone else does from t1
     assert table.unreached_starts == {0: 0, 1: 1, 2: 2}
+
+
+def _assert_sweeps_match_instants(tvg, first, last):
+    """metric_sweep over [first, last) equals the per-instant results for
+    every threshold r/n and every budget 1..N+1."""
+    n = tvg.num_nodes
+    for r in range(1, n + 1):
+        thr = CoverageThreshold.of(Fraction(r, n), n)
+        table = metric_sweep(tvg, MetricSpec.ct(thr.tau), (first, last))
+        assert table.eval_range == (first, last)
+        assert table.times() == list(range(first, last))
+        for t_i in range(first, last):
+            value, unreached = _cover_time_detail(tvg, t_i, thr)
+            assert table.values[t_i] == value == cover_time(tvg, t_i, thr), (r, t_i)
+            assert table.unreached_starts[t_i] == unreached, (r, t_i)
+    for phi in range(1, tvg.num_instants + 2):
+        table = metric_sweep(tvg, MetricSpec.tcc(phi), (first, last))
+        for t_i in range(first, last):
+            assert table.values[t_i] == tcc(tvg, t_i, phi), (phi, t_i)
+            assert table.unreached_starts[t_i] == 0
+
+
+def test_metric_sweep_equals_per_instant_results_random():
+    rng = random.Random(4242)
+    for _ in range(80):
+        tvg = random_tvg(rng)
+        first = rng.randrange(tvg.num_instants)
+        last = rng.randint(first + 1, tvg.num_instants)
+        _assert_sweeps_match_instants(tvg, first, last)
+
+
+def test_metric_sweep_equals_per_instant_results_degenerate():
+    for tvg in (build_tvg(1, 4, []), build_tvg(5, 6, []), build_tvg(2, 1, [Contact(0, 1, 0)])):
+        for first in range(tvg.num_instants):
+            for last in range(first + 1, tvg.num_instants + 1):
+                _assert_sweeps_match_instants(tvg, first, last)
 
 
 def test_metric_sweep_tcc_bounds(chain4):

@@ -120,6 +120,31 @@ def test_ct_invalid_tau_and_range(small_tvg_path, tmp_path, capsys):
                "--range", "5:900", "--out", str(out))[0] == 1
     assert run(capsys, "ct", str(small_tvg_path), "--tau", "0.2",
                "--range", "oops", "--out", str(out))[0] == 1
+    for argv in (("ct", "--tau", "1/0"), ("ct", "--tau", "abc"), ("ct", "--tau", "1.5"),
+                 ("tcc", "--phi", "0"),
+                 ("compare", "--metric", "ct", "--tau", "0", "--seed", "1"),
+                 ("compare", "--metric", "tcc", "--phi", "-2", "--seed", "1")):
+        assert run(capsys, argv[0], str(small_tvg_path), *argv[1:],
+                   "--out", str(out))[0] == 1, argv
+
+
+def test_sweep_refuses_node_count_over_the_cap(tmp_path, capsys):
+    # a header-only file declaring 9000 nodes must fail fast, not allocate n^2
+    path = tmp_path / "wide.tvg"
+    path.write_text("tvg v1 9000 1\n")
+    for argv in (("ct", "--tau", "0.5"), ("tcc", "--phi", "3")):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:],
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert "8192" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_negative_workers_is_usage_error(small_tvg_path, tmp_path, capsys):
+    code, _, err = run(capsys, "tcc", str(small_tvg_path), "--phi", "3",
+                       "--workers", "-1", "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert "workers" in err
 
 
 def test_sweep_worker_count_invariance(small_tvg_path, tmp_path, capsys):
