@@ -47,6 +47,7 @@ from .ingest import (
 from .oracle import ExpandedDigraph, expand, oracle_reach, reach_profile
 from .synth import ErTvgSpec, generate_er_tvg, reference_spec, snapshot_pairs
 from .tvg import (
+    MAX_INSTANTS,
     TVG,
     Contact,
     Snapshot,
@@ -63,6 +64,7 @@ from .tvg import (
 __all__ = [
     "__version__",
     # model
+    "MAX_INSTANTS",
     "TVG",
     "Snapshot",
     "Contact",

@@ -28,6 +28,7 @@ from typing import IO, Iterable, Literal, Sequence
 import numpy as np
 
 from .diffusion import (
+    MAX_SWEEP_NODES,
     NEVER,
     CoverageThreshold,
     check_phi,
@@ -123,6 +124,22 @@ def tcc(tvg: TVG, t_i: int, phi: int) -> Fraction:
     return Fraction(sum(len(m) for m in milestones), tvg.num_nodes ** 2)
 
 
+def _ct_pass_top(tvg: TVG, last: int, need: int) -> int:
+    """Last snapshot a ct sweep of instants before `last` reads.
+
+    A diffusion from (u, t), t < last - 1, still holds u at last - 1, so
+    from then on it informs a superset of the one from (u, last - 1) and
+    meets the threshold no later. When every diffusion from last - 1 meets
+    it, the latest of them bounds the whole range; otherwise the pass reads
+    to the end.
+    """
+    reach = spread_milestones(tvg, last - 1, stop_count=need)
+    if any(len(m) < need for m in reach):
+        return tvg.num_instants - 1
+    # milestone step s of a diffusion from last - 1 consumes snapshot last - 2 + s
+    return max(last - 1, last - 2 + max(m[need - 1] for m in reach))
+
+
 def metric_sweep(
     tvg: TVG,
     metric: MetricSpec,
@@ -133,14 +150,15 @@ def metric_sweep(
     One backward pass of diffusion.earliest_arrivals serves every instant;
     each instant's arrival matrix is reduced to its value at once. ct takes
     per start the required_count-th earliest arrival (a row-wise
-    partition) and reads all snapshots to the end, since a start may meet
-    its threshold at the last one; tcc counts the arrivals within phi
-    steps and reads no snapshot past the last instant's budget. Values
-    equal cover_time and tcc of each instant.
+    partition) and reads no snapshot past _ct_pass_top. tcc counts the
+    arrivals within phi steps and reads no snapshot past the last instant's
+    budget. Values equal cover_time and tcc of each instant.
     """
     n = tvg.num_nodes
     if n == 0:
         raise ValueError("TVG has no nodes")
+    if n > MAX_SWEEP_NODES:
+        raise ValueError(f"{n} nodes exceed the sweep limit of {MAX_SWEEP_NODES} nodes")
     if eval_range is None:
         eval_range = default_eval_range(tvg.num_instants)
     first, last = eval_range
@@ -151,8 +169,9 @@ def metric_sweep(
     values: dict[int, MetricValue] = {}
     unreached: dict[int, int] = {}
     if metric.kind == "ct":
-        kth = CoverageThreshold.of(metric.tau, n).required_count - 1
-        for t_i, arrival in earliest_arrivals(tvg, first, last, tvg.num_instants - 1):
+        need = CoverageThreshold.of(metric.tau, n).required_count
+        kth = need - 1
+        for t_i, arrival in earliest_arrivals(tvg, first, last, _ct_pass_top(tvg, last, need)):
             cover = np.partition(arrival, kth, axis=1)[:, kth]
             unreached[t_i] = int(np.count_nonzero(cover == NEVER))
             if unreached[t_i]:

@@ -20,13 +20,15 @@ cover_time and tcc of timecent.centrality build on it.
 
 earliest_arrivals answers every start node of every instant of a range in
 one backward pass over the snapshots; the centrality sweeps build on it.
+It reads each snapshot as its contact nodes by degree and their k-th
+neighbours, which _neighbour_columns derives with numpy from the TVG's
+edge slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterator
 
 import numpy as np
@@ -95,6 +97,11 @@ class DiffusionTrace:
     informed: frozenset[int]
 
 
+# Instants whose contacts or neighbour columns are prepared at once: bounds
+# the arrays a loop holds, and the work a loop that stops early has wasted.
+_CHUNK = 1024
+
+
 def _check_start(tvg: TVG, start: TemporalNode) -> None:
     node, time = start
     if not 0 <= node < tvg.num_nodes:
@@ -103,13 +110,25 @@ def _check_start(tvg: TVG, start: TemporalNode) -> None:
         raise ValueError(f"start time {time} out of range [0,{tvg.num_instants})")
 
 
+def _contact_lists(tvg: TVG, first: int, last: int) -> Iterator[list[list[int]]]:
+    """Contacts of each instant of [first, last) as [a, b] lists, for the Python loops.
+
+    The offsets are read _CHUNK instants at a time, so a caller that stops
+    early pays for the instants it reads, not for the rest of the TVG.
+    """
+    pairs = tvg.edges[:, 1:]
+    for start in range(first, last, _CHUNK):
+        bounds = tvg.offsets[start : min(start + _CHUNK, last) + 1].tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield pairs[lo:hi].tolist()
+
+
 def _spread_steps(tvg: TVG, node: int, time: int) -> Iterator[int]:
     """Yield the informed bitmask after each step, up to exhaustion."""
     informed = 1 << node
-    snapshots = tvg.snapshots
-    for t in range(time, tvg.num_instants):
+    for contacts in _contact_lists(tvg, time, tvg.num_instants):
         new = informed
-        for a, b in snapshots[t].contact_list:
+        for a, b in contacts:
             if informed >> a & 1:
                 new |= 1 << b
             if informed >> b & 1:
@@ -223,11 +242,7 @@ def spread_milestones(
     last = tvg.num_instants
     if max_steps is not None:
         last = min(last, time + max_steps)
-    snapshots = tvg.snapshots
-    step = 0
-    for t in range(time, last):
-        step += 1
-        contacts = snapshots[t].contact_list
+    for step, contacts in enumerate(_contact_lists(tvg, time, last), start=1):
         if not contacts:
             continue
         updates: dict[int, int] = {}
@@ -261,12 +276,61 @@ def spread_milestones(
     return milestones
 
 
-# Largest node count earliest_arrivals accepts: its state is one n x n
-# int32 matrix, 256 MiB at this size.
+# Largest node count a sweep accepts: the state of earliest_arrivals is one
+# n x n int32 matrix, 256 MiB at this size.
 MAX_SWEEP_NODES = 8192
 
 # Arrival entry of a node the flood never informs.
 NEVER = np.iinfo(np.int32).max
+
+
+def _neighbour_columns(
+    tvg: TVG, first: int, top: int
+) -> Iterator[tuple[int, np.ndarray, list[int], np.ndarray]]:
+    """Yield (t, nodes, lengths, columns) for t = top down to first.
+
+    nodes are the contact nodes of snapshot t by degree, highest first, so
+    the nodes with a k-th neighbour are a prefix. columns lists the first
+    neighbours of nodes[:lengths[0]], then the second neighbours of
+    nodes[:lengths[1]], and so on. An empty snapshot yields no nodes.
+    """
+    for hi in range(top, first - 1, -_CHUNK):
+        lo = max(first, hi - _CHUNK + 1)
+        span = np.arange(lo, hi + 2)
+        block = tvg.edges[tvg.offsets[lo] : tvg.offsets[hi + 1]]
+        # one arc per contact end, grouped by (time, node)
+        time = np.concatenate((block[:, 0], block[:, 0]))
+        node = np.concatenate((block[:, 1], block[:, 2]))
+        nbr = np.concatenate((block[:, 2], block[:, 1]))
+        order = np.lexsort((node, time))
+        time, node, nbr = time[order], node[order], nbr[order]
+        head = np.ones(len(time), dtype=bool)
+        head[1:] = (time[1:] != time[:-1]) | (node[1:] != node[:-1])
+        starts = np.flatnonzero(head)
+        degree = np.diff(np.append(starts, len(time)))
+        # each snapshot's nodes by degree; column k follows the same order
+        by_degree = np.lexsort((-degree, time[starts]))
+        nodes = node[starts[by_degree]]
+        node_at = np.searchsorted(time[starts[by_degree]], span).tolist()
+        place = np.empty_like(by_degree)
+        place[by_degree] = np.arange(len(by_degree))
+        k = np.arange(len(time)) - np.repeat(starts, degree)  # arc's rank at its node
+        order = np.lexsort((np.repeat(place, degree), k, time))
+        columns = nbr[order]
+        time, k = time[order], k[order]
+        head[1:] = (time[1:] != time[:-1]) | (k[1:] != k[:-1])
+        runs = np.flatnonzero(head)
+        lengths = np.diff(np.append(runs, len(time))).tolist()
+        run_at = np.searchsorted(time[runs], span).tolist()
+        arc_at = np.searchsorted(time, span).tolist()
+        for t in range(hi, lo - 1, -1):
+            j = t - lo
+            yield (
+                t,
+                nodes[node_at[j] : node_at[j + 1]],
+                lengths[run_at[j] : run_at[j + 1]],
+                columns[arc_at[j] : arc_at[j + 1]],
+            )
 
 
 def earliest_arrivals(
@@ -286,25 +350,21 @@ def earliest_arrivals(
     neighbours of u at t, with E_{t+1}[w, w] = t. A snapshot rewrites only
     the rows of its contact nodes, and an empty one costs nothing; the n^2
     work is the caller's reduction at each yielded instant. E is one array
-    updated in place: reduce it before the next iteration.
+    updated in place: reduce it before the next iteration. It holds n^2
+    int32 entries; centrality.metric_sweep refuses n > MAX_SWEEP_NODES.
     """
     n = tvg.num_nodes
-    if n > MAX_SWEEP_NODES:
-        raise ValueError(f"{n} nodes exceed the sweep limit of {MAX_SWEEP_NODES} nodes")
     arrival = np.full((n, n), NEVER, dtype=np.int32)
     diagonal = arrival.reshape(-1)[:: n + 1]
-    snapshots = tvg.snapshots
-    for t in range(top, first - 1, -1):
-        adjacency = snapshots[t].adjacency
-        if adjacency:
-            # by degree, highest first: the nodes with a k-th neighbour are a prefix
-            nodes = sorted(adjacency, key=lambda u: -len(adjacency[u]))
+    for t, nodes, lengths, columns in _neighbour_columns(tvg, first, top):
+        if len(nodes):
             # the diagonal is only kept at yields; the rows read here need E_{t+1}[w, w] = t
             arrival[nodes, nodes] = t
             rows = arrival[nodes]
-            for column in zip_longest(*(adjacency[u] for u in nodes)):
-                kth = [w for w in column if w is not None]
-                np.minimum(rows[: len(kth)], arrival[kth], out=rows[: len(kth)])
+            at = 0
+            for length in lengths:
+                np.minimum(rows[:length], arrival[columns[at : at + length]], out=rows[:length])
+                at += length
             arrival[nodes] = rows
         if t < last:
             diagonal[:] = t - 1

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .tvg import TVG, NodeId
+import numpy as np
+
+from .tvg import TVG, NodeId, check_instants
 
 
 class ContactLogError(ValueError):
@@ -115,8 +117,13 @@ def discretize_with_stats(
         end = max(r.timestamp for r in items)
     if end < start:
         raise ValueError("end_timestamp must not precede start_timestamp")
-    num_instants = (end - start) // cfg.granularity_seconds + 1
-    per_time: list[set[tuple[int, int]]] = [set() for _ in range(num_instants)]
+    granularity = cfg.granularity_seconds
+    num_instants = (end - start) // granularity + 1
+    try:
+        check_instants(num_instants)
+    except ValueError as exc:
+        raise ValueError(f"timestamps {start} to {end} in {granularity} s bins: {exc}") from None
+    flat: list[int] = []  # time, a, b of each accepted record
     ids: dict[str, int] = {}
     rejected = 0
     for rec in items:
@@ -125,10 +132,11 @@ def discretize_with_stats(
             continue
         a = ids.setdefault(rec.label_a, len(ids))
         b = ids.setdefault(rec.label_b, len(ids))
-        t = (rec.timestamp - start) // cfg.granularity_seconds
-        per_time[t].add((a, b) if a < b else (b, a))
+        flat += ((rec.timestamp - start) // granularity, a, b)
+    rows = np.array(flat, dtype=np.int64).reshape(-1, 3)
+    rows[:, 1:].sort(axis=1)
     labels = {i: label for label, i in ids.items()}
-    tvg = TVG.from_snapshot_pairs(len(ids), per_time, labels or None)
+    tvg = TVG(len(ids), num_instants, rows, labels or None)
     stats = IngestStats(
         records_read=len(items),
         records_rejected=rejected,

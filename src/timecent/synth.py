@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tvg import TVG
+from .tvg import TVG, check_instants
 
 REFERENCE_NUM_NODES = 160
 REFERENCE_NUM_INSTANTS = 800
@@ -42,8 +42,7 @@ class ErTvgSpec:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
-        if self.num_instants < 1:
-            raise ValueError("num_instants must be at least 1")
+        check_instants(self.num_instants)
         if not 0 <= self.edge_probability <= 1:
             raise ValueError("edge_probability must be in [0, 1]")
         if self.seed < 0:
@@ -63,29 +62,33 @@ def reference_spec(seed: int) -> ErTvgSpec:
 @lru_cache(maxsize=8)
 def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of the C(n, 2) pairs in lexicographic order."""
-    idx_a = []
-    idx_b = []
-    for a in range(n - 1):
-        idx_a.extend([a] * (n - 1 - a))
-        idx_b.extend(range(a + 1, n))
-    return np.asarray(idx_a, dtype=np.int64), np.asarray(idx_b, dtype=np.int64)
+    return np.triu_indices(n, 1)
+
+
+def _snapshot_hits(spec: ErTvgSpec, index: int) -> np.ndarray:
+    """Indices into _pair_table of the contacts of snapshot `index`."""
+    n = spec.num_nodes
+    if n < 2 or spec.edge_probability == 0:
+        return np.zeros(0, dtype=np.intp)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, index))))
+    draws = rng.random(n * (n - 1) // 2)
+    return np.nonzero(draws < spec.edge_probability)[0]
 
 
 def snapshot_pairs(spec: ErTvgSpec, index: int) -> list[tuple[int, int]]:
     """Contacts of snapshot `index`, drawn from its own seeded substream."""
     if not 0 <= index < spec.num_instants:
         raise ValueError(f"snapshot index {index} out of range")
-    n = spec.num_nodes
-    if n < 2 or spec.edge_probability == 0:
-        return []
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, index))))
-    draws = rng.random(n * (n - 1) // 2)
-    hits = np.nonzero(draws < spec.edge_probability)[0]
-    idx_a, idx_b = _pair_table(n)
-    return [(int(a), int(b)) for a, b in zip(idx_a[hits], idx_b[hits])]
+    hits = _snapshot_hits(spec, index)
+    idx_a, idx_b = _pair_table(spec.num_nodes)
+    return list(zip(idx_a[hits].tolist(), idx_b[hits].tolist()))
 
 
 def generate_er_tvg(spec: ErTvgSpec) -> TVG:
     """Generate the randomized TVG described by `spec`."""
-    per_time = (snapshot_pairs(spec, i) for i in range(spec.num_instants))
-    return TVG.from_snapshot_pairs(spec.num_nodes, per_time)
+    hits = [_snapshot_hits(spec, i) for i in range(spec.num_instants)]
+    times = np.repeat(np.arange(spec.num_instants), [len(h) for h in hits])
+    idx_a, idx_b = _pair_table(spec.num_nodes)
+    pairs = np.concatenate(hits)
+    rows = np.column_stack((times, idx_a[pairs], idx_b[pairs]))
+    return TVG(spec.num_nodes, spec.num_instants, rows)

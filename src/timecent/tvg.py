@@ -8,6 +8,12 @@ that cross-instant convention is realized operationally by the diffusion
 step rule (see timecent.diffusion), so no edge beyond the final instant is
 ever materialized.
 
+Storage is columnar: one read-only int32 array `edges` of (time, a, b)
+rows with a < b, sorted by (time, a, b) without duplicates, and
+num_instants + 1 int64 `offsets`, so the contacts of instant t are rows
+offsets[t] to offsets[t + 1] (CSR over time). An empty instant costs one
+offset. `TVG.snapshots` is a read-only sequence view over those slices.
+
 Serialized form ("tvg v1"), byte-deterministic for a given TVG:
 
     tvg v1 <num_nodes> <num_instants>
@@ -20,14 +26,22 @@ endings and a trailing newline. Node labels are not part of the format.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 NodeId = int
 TimeIndex = int
 
 FORMAT_HEADER = "tvg v1"
+
+# Largest instant count a TVG may have. Its offsets are int64, so they stay
+# within 64 MiB whatever a header or a contact log's time span declares.
+MAX_INSTANTS = 1 << 23
 
 
 class TvgFormatError(ValueError):
@@ -66,80 +80,115 @@ class Contact:
         return (self.a, self.b)
 
 
+def check_instants(num_instants: int) -> None:
+    """ValueError unless 1 <= num_instants <= MAX_INSTANTS."""
+    if not 1 <= num_instants <= MAX_INSTANTS:
+        raise ValueError(
+            f"num_instants must be in [1, {MAX_INSTANTS}] (MAX_INSTANTS), got {num_instants}"
+        )
+
+
+def _integers(values) -> np.ndarray:
+    """values as an int64 array, or as Python ints if one overflows int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:  # such a field is out of range; the checks still find it
+        return np.asarray(values, dtype=object)
+
+
+def _first_invalid(rows: np.ndarray, num_nodes: int, num_instants: int) -> tuple[int, str] | None:
+    """Index of the first row that is not a contact of such a TVG, and why."""
+    t, a, b = rows.T
+    bad = (t < 0) | (t >= num_instants) | (a < 0) | (b >= num_nodes) | (a >= b)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    t, a, b = rows[i].tolist()
+    if not 0 <= t < num_instants:
+        return i, f"time {t} out of range [0,{num_instants})"
+    if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+        return i, f"node out of range: contact ({a},{b}) at time {t}, node range [0,{num_nodes})"
+    return i, f"contact ({a},{b}) at time {t} must satisfy a < b"
+
+
 class Snapshot:
-    """Contacts active at one time instant, with derived adjacency.
+    """Read-only view of the contacts of one instant: `pairs` holds their
+    (a, b) rows, a < b, sorted."""
 
-    Adjacency is symmetric by construction: contacts are undirected.
-    """
+    __slots__ = ("pairs",)
 
-    __slots__ = ("contacts", "contact_list", "adjacency")
+    def __init__(self, pairs: np.ndarray):
+        self.pairs = pairs
 
-    def __init__(self, pairs: Iterable[tuple[NodeId, NodeId]] = ()):
-        self.contacts: frozenset[tuple[NodeId, NodeId]] = frozenset(pairs)
-        self.contact_list: tuple[tuple[NodeId, NodeId], ...] = tuple(sorted(self.contacts))
-        adj: dict[NodeId, set[NodeId]] = {}
-        for a, b in self.contact_list:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        self.adjacency: dict[NodeId, frozenset[NodeId]] = {
-            v: frozenset(nbrs) for v, nbrs in adj.items()
-        }
-
-    def neighbors(self, node: NodeId) -> frozenset[NodeId]:
-        return self.adjacency.get(node, frozenset())
+    @property
+    def contact_list(self) -> tuple[tuple[NodeId, NodeId], ...]:
+        return tuple(map(tuple, self.pairs.tolist()))
 
     def __len__(self) -> int:
-        return len(self.contacts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Snapshot):
-            return NotImplemented
-        return self.contacts == other.contacts
-
-    def __hash__(self) -> int:
-        return hash(self.contacts)
-
-    def __repr__(self) -> str:
-        return f"Snapshot({sorted(self.contacts)!r})"
+        return len(self.pairs)
 
 
-_EMPTY_SNAPSHOT = Snapshot()
+class Snapshots(Sequence):
+    """Read-only sequence of a TVG's snapshots, one slice of its edges each."""
+
+    __slots__ = ("_pairs", "_offsets")
+
+    def __init__(self, tvg: TVG):
+        self._pairs = tvg.edges[:, 1:]
+        self._offsets = tvg.offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[t] for t in range(*index.indices(len(self)))]
+        t = range(len(self))[index]
+        return Snapshot(self._pairs[self._offsets[t] : self._offsets[t + 1]])
 
 
 class TVG:
-    """A time-varying graph as an immutable sequence of snapshots.
+    """A time-varying graph: its contacts in columnar form (see module doc).
 
-    Instances are not modified after construction; construct once, then
-    share.
+    Instances are not modified after construction, and their arrays are
+    read-only; construct once, then share.
     """
 
-    __slots__ = ("num_nodes", "num_instants", "snapshots", "node_labels")
+    __slots__ = ("num_nodes", "num_instants", "edges", "offsets", "node_labels")
 
     def __init__(
         self,
         num_nodes: int,
         num_instants: int,
-        snapshots: Iterable[Snapshot],
+        rows: Iterable[tuple[TimeIndex, NodeId, NodeId]] | np.ndarray,
         node_labels: dict[NodeId, str] | None = None,
     ):
-        if num_nodes < 0:
-            raise ValueError("num_nodes must be non-negative")
-        if num_instants < 1:
-            raise ValueError("num_instants must be at least 1")
+        """`rows` holds (time, a, b) contacts with a < b, in any order;
+        duplicates collapse to one."""
+        if not 0 <= num_nodes <= np.iinfo(np.int32).max:  # node ids are int32
+            raise ValueError(f"num_nodes must be in [0, 2**31 - 1], got {num_nodes}")
+        check_instants(num_instants)
+        rows = _integers(rows)
+        if rows.size == 0:
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError("contacts must be (time, a, b) rows")
+        invalid = _first_invalid(rows, num_nodes, num_instants)
+        if invalid is not None:
+            raise ValueError(invalid[1])
+        edges = rows.astype(np.int32)  # in range: checked above
+        edges = edges[np.lexsort(edges.T[::-1])]
+        edges = edges[np.diff(edges, axis=0, prepend=-1).any(axis=1)]  # drop duplicates
+        # offsets[t]: contacts before instant t, summed in place
+        offsets = np.bincount(edges[:, 0] + 1, minlength=num_instants + 1)
+        np.cumsum(offsets, out=offsets)
+        edges.flags.writeable = False
+        offsets.flags.writeable = False
         self.num_nodes = num_nodes
         self.num_instants = num_instants
-        self.snapshots: tuple[Snapshot, ...] = tuple(snapshots)
+        self.edges = edges
+        self.offsets = offsets
         self.node_labels = dict(node_labels) if node_labels else None
-        if len(self.snapshots) != num_instants:
-            raise ValueError(
-                f"expected {num_instants} snapshots, got {len(self.snapshots)}"
-            )
-        for t, snap in enumerate(self.snapshots):
-            for a, b in snap.contact_list:
-                if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-                    raise ValueError(
-                        f"contact ({a},{b}) at time {t} out of node range [0,{num_nodes})"
-                    )
 
     @classmethod
     def from_snapshot_pairs(
@@ -149,8 +198,13 @@ class TVG:
         node_labels: dict[NodeId, str] | None = None,
     ) -> TVG:
         """Build from one iterable of canonical (a, b) pairs per instant."""
-        snapshots = [Snapshot(pairs) if pairs else _EMPTY_SNAPSHOT for pairs in per_time_pairs]
-        return cls(num_nodes, len(snapshots), snapshots, node_labels)
+        per_time = list(per_time_pairs)
+        rows = [(t, a, b) for t, pairs in enumerate(per_time) for a, b in pairs]
+        return cls(num_nodes, len(per_time), rows, node_labels)
+
+    @property
+    def snapshots(self) -> Snapshots:
+        return Snapshots(self)
 
     def neighbors(self, node: NodeId, time: TimeIndex) -> frozenset[NodeId]:
         """Nodes in contact with `node` at instant `time`."""
@@ -158,16 +212,16 @@ class TVG:
             raise ValueError(f"node {node} out of range [0,{self.num_nodes})")
         if not 0 <= time < self.num_instants:
             raise ValueError(f"time {time} out of range [0,{self.num_instants})")
-        return self.snapshots[time].neighbors(node)
+        a, b = self.snapshots[time].pairs.T
+        return frozenset(b[a == node].tolist() + a[b == node].tolist())
 
     def contacts(self) -> Iterator[Contact]:
         """All contacts in (time, a, b) order."""
-        for t, snap in enumerate(self.snapshots):
-            for a, b in snap.contact_list:
-                yield Contact(a, b, t)
+        for t, a, b in self.edges.tolist():
+            yield Contact(a, b, t)
 
     def num_contacts(self) -> int:
-        return sum(len(snap) for snap in self.snapshots)
+        return len(self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TVG):
@@ -175,11 +229,11 @@ class TVG:
         return (
             self.num_nodes == other.num_nodes
             and self.num_instants == other.num_instants
-            and self.snapshots == other.snapshots
+            and np.array_equal(self.edges, other.edges)
         )
 
     def __hash__(self) -> int:
-        return hash((self.num_nodes, self.num_instants, self.snapshots))
+        return hash((self.num_nodes, self.num_instants, self.edges.tobytes()))
 
     def __repr__(self) -> str:
         return (
@@ -200,16 +254,8 @@ def build_tvg(
     time indices raise ValueError (self-contacts are rejected by Contact
     itself).
     """
-    per_time: list[set[tuple[NodeId, NodeId]]] = [set() for _ in range(num_instants)]
-    for c in contacts:
-        if not 0 <= c.time < num_instants:
-            raise ValueError(f"contact time {c.time} out of range [0,{num_instants})")
-        if not 0 <= c.a < num_nodes or not 0 <= c.b < num_nodes:
-            raise ValueError(
-                f"contact ({c.a},{c.b}) at time {c.time} out of node range [0,{num_nodes})"
-            )
-        per_time[c.time].add(c.pair)
-    return TVG.from_snapshot_pairs(num_nodes, per_time, node_labels)
+    rows = [(c.time, c.a, c.b) for c in contacts]
+    return TVG(num_nodes, num_instants, rows, node_labels)
 
 
 def churn_rate(tvg: TVG) -> Fraction:
@@ -219,16 +265,20 @@ def churn_rate(tvg: TVG) -> Fraction:
     node pairs active in snapshot i or i+1 whose state differs between
     the two. Always-absent pairs do not enter the denominator. Returns 0
     when no pair is ever active.
+
+    With C_i the contacts of instant i, m their total and S the sum of
+    |C_i & C_{i+1}|: flipped = 2m - |C_0| - |C_last| - 2S and active =
+    flipped + S. S counts the contacts whose pair recurs at the next
+    instant, found by sorting on (pair, time).
     """
     if tvg.num_instants < 2:
         raise ValueError("churn_rate needs at least 2 snapshots")
-    flipped = 0
-    active = 0
-    for i in range(tvg.num_instants - 1):
-        cur = tvg.snapshots[i].contacts
-        nxt = tvg.snapshots[i + 1].contacts
-        flipped += len(cur ^ nxt)
-        active += len(cur | nxt)
+    t, a, b = tvg.edges[np.lexsort(tvg.edges.T)].T
+    overlap = int(np.count_nonzero((a[1:] == a[:-1]) & (b[1:] == b[:-1]) & (t[1:] == t[:-1] + 1)))
+    m = tvg.num_contacts()
+    ends = int(tvg.offsets[1]) + m - int(tvg.offsets[-2])
+    flipped = 2 * m - ends - 2 * overlap
+    active = flipped + overlap
     if active == 0:
         return Fraction(0)
     return Fraction(flipped, active)
@@ -236,25 +286,23 @@ def churn_rate(tvg: TVG) -> Fraction:
 
 def format_tvg(tvg: TVG) -> str:
     """Render the tvg v1 text form."""
-    lines = [f"{FORMAT_HEADER} {tvg.num_nodes} {tvg.num_instants}\n"]
-    for t, snap in enumerate(tvg.snapshots):
-        for a, b in snap.contact_list:
-            lines.append(f"{t} {a} {b}\n")
-    return "".join(lines)
-
-
-def write_tvg(tvg: TVG, out: IO[str]) -> None:
-    out.write(format_tvg(tvg))
+    header = f"{FORMAT_HEADER} {tvg.num_nodes} {tvg.num_instants}\n"
+    return header + ("%d %d %d\n" * tvg.num_contacts()) % tuple(tvg.edges.ravel().tolist())
 
 
 def save_tvg(tvg: TVG, path: str) -> None:
     # newline="" so the output is LF on every platform
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_tvg(tvg, fh)
+        fh.write(format_tvg(tvg))
 
 
 def parse_tvg(lines: Iterable[str]) -> TVG:
-    """Parse the tvg v1 text form; raises TvgFormatError on bad input."""
+    """Parse the tvg v1 text form; raises TvgFormatError on bad input.
+
+    One loop turns the lines into a flat list of integers; the range
+    checks then run on whole arrays. The error names the first bad line,
+    as a line-by-line check would.
+    """
     it = iter(lines)
     try:
         header = next(it)
@@ -264,37 +312,39 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
     if len(fields) != 4 or fields[0] != "tvg" or fields[1] != "v1":
         raise TvgFormatError(f"bad header: {header.strip()!r}")
     try:
-        num_nodes = int(fields[2])
-        num_instants = int(fields[3])
+        num_nodes, num_instants = int(fields[2]), int(fields[3])
+        if num_nodes < 0:
+            raise ValueError("num_nodes must be non-negative")
+        check_instants(num_instants)
+    except ValueError as exc:
+        raise TvgFormatError(f"bad header counts: {header.strip()!r} ({exc})") from None
+    values: list[int] = []
+    blanks: list[int] = []  # records read before each blank line
+    malformed = None  # what is wrong with the line after the last record read
+    try:
+        for line in it:
+            parts = line.split()
+            if len(parts) == 3:
+                t, a, b = parts
+                values += (int(t), int(a), int(b))
+            elif parts:
+                malformed = "expected '<time> <a> <b>'"
+                break
+            else:
+                blanks.append(len(values) // 3)
     except ValueError:
-        raise TvgFormatError(f"bad header counts: {header.strip()!r}") from None
-    if num_nodes < 0 or num_instants < 1:
-        raise TvgFormatError(f"bad header counts: {header.strip()!r}")
-    per_time: list[set[tuple[int, int]]] = [set() for _ in range(num_instants)]
-    for lineno, line in enumerate(it, start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise TvgFormatError(f"line {lineno}: expected '<time> <a> <b>'")
-        try:
-            t, a, b = (int(p) for p in parts)
-        except ValueError:
-            raise TvgFormatError(f"line {lineno}: non-integer field") from None
-        if not 0 <= t < num_instants:
-            raise TvgFormatError(f"line {lineno}: time {t} out of range")
-        if not 0 <= a < num_nodes or not 0 <= b < num_nodes:
-            raise TvgFormatError(f"line {lineno}: node out of range")
-        if a >= b:
-            raise TvgFormatError(f"line {lineno}: contact must satisfy a < b")
-        per_time[t].add((a, b))
-    return TVG.from_snapshot_pairs(num_nodes, per_time)
-
-
-def read_tvg(src: IO[str]) -> TVG:
-    return parse_tvg(src)
+        malformed = "non-integer field"
+    rows = _integers(values).reshape(-1, 3)
+    del values  # the int objects outweigh the array; free them before sorting
+    invalid = _first_invalid(rows, num_nodes, num_instants)
+    if invalid is None and malformed is not None:
+        invalid = (len(rows), malformed)
+    if invalid is not None:
+        index, message = invalid
+        raise TvgFormatError(f"line {index + 2 + bisect_right(blanks, index)}: {message}")
+    return TVG(num_nodes, num_instants, rows)
 
 
 def load_tvg(path: str) -> TVG:
     with open(path, "r", encoding="utf-8") as fh:
-        return read_tvg(fh)
+        return parse_tvg(fh)

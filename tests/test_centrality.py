@@ -22,8 +22,10 @@ from timecent import (
     rank_instants,
     tcc,
 )
+from timecent import diffusion
 from timecent.centrality import (
     _cover_time_detail,
+    _ct_pass_top,
     comparison_summary,
     format_value,
     read_table_csv,
@@ -114,6 +116,18 @@ def test_metric_sweep_equals_per_instant_results_random():
         first = rng.randrange(tvg.num_instants)
         last = rng.randint(first + 1, tvg.num_instants)
         _assert_sweeps_match_instants(tvg, first, last)
+    # ranges that end well before the last instant, where a ct pass stops
+    # before the last snapshot when every start of the range's last instant
+    # meets the threshold
+    early = 0
+    for _ in range(40):
+        tvg = random_tvg(rng, max_nodes=8, max_instants=36)
+        last = rng.randint(1, max(1, tvg.num_instants // 3))
+        first = rng.randrange(last)
+        _assert_sweeps_match_instants(tvg, first, last)
+        tops = [_ct_pass_top(tvg, last, r) for r in range(2, tvg.num_nodes + 1)]
+        early += any(top < tvg.num_instants - 1 for top in tops)
+    assert early >= 10
 
 
 def test_metric_sweep_equals_per_instant_results_degenerate():
@@ -368,3 +382,23 @@ def test_comparison_csv_and_summary():
     assert sum(1 for line in lines if line.startswith("random,")) == 3
     summary = comparison_summary(report)
     assert "top" in summary and "random" in summary and "median=" in summary
+
+
+def test_metric_sweep_is_independent_of_chunking(monkeypatch):
+    # the engines read contacts and neighbour columns a chunk of snapshots at a time
+    rng = random.Random(77)
+    tvgs = [random_tvg(rng, max_instants=30) for _ in range(12)]
+    specs = [MetricSpec.ct("0.5"), MetricSpec.ct("1"), MetricSpec.tcc(1), MetricSpec.tcc(4)]
+    for tvg in tvgs:
+        last = rng.randint(1, tvg.num_instants)
+        first = rng.randrange(last)
+        whole = [metric_sweep(tvg, spec, (first, last)) for spec in specs]
+        single = [tcc(tvg, t, 4) for t in range(tvg.num_instants)]
+        for chunk in (1, 2, 5):
+            monkeypatch.setattr(diffusion, "_CHUNK", chunk)
+            for spec, table in zip(specs, whole):
+                again = metric_sweep(tvg, spec, (first, last))
+                assert again.values == table.values
+                assert again.unreached_starts == table.unreached_starts
+            assert [tcc(tvg, t, 4) for t in range(tvg.num_instants)] == single
+            monkeypatch.undo()

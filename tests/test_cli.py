@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +143,48 @@ def test_sweep_refuses_node_count_over_the_cap(tmp_path, capsys):
         assert code == 2
         assert "8192" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _limited_to_1_gib() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def run_limited(tmp_path, *argv):
+    """`timecent argv` in a child process whose address space is capped at 1 GiB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, "-m", "timecent.cli", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, preexec_fn=_limited_to_1_gib, timeout=120,
+    )
+
+
+def test_sweep_over_the_node_cap_fails_before_allocating(tmp_path):
+    # 100000 nodes would need 10 GB for one n x n boolean matrix, 40 GB as int32
+    (tmp_path / "wide.tvg").write_text("tvg v1 100000 1\n")
+    for argv in (("ct", "--tau", "0.5"), ("tcc", "--phi", "3")):
+        child = run_limited(tmp_path, argv[0], "wide.tvg", *argv[1:], "--out", "out.csv")
+        assert child.returncode == 2, child.stderr
+        assert "8192" in child.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_header_declaring_a_billion_instants_is_a_data_error(tmp_path):
+    (tmp_path / "huge.tvg").write_text("tvg v1 3 1000000000\n")
+    for argv in (("ct", "huge.tvg", "--tau", "0.1", "--out", "ct.csv"), ("churn", "huge.tvg")):
+        child = run_limited(tmp_path, *argv)
+        assert child.returncode == 2, child.stderr
+        assert "8388608" in child.stderr and "MAX_INSTANTS" in child.stderr
+    assert not (tmp_path / "ct.csv").exists()
+
+
+def test_contact_log_with_outlier_timestamp_is_a_data_error(tmp_path):
+    (tmp_path / "log.csv").write_text("0,a,b\n2000000000,b,c\n")
+    child = run_limited(tmp_path, "ingest", "log.csv", "--granularity", "30", "--out", "log.tvg")
+    assert child.returncode == 2, child.stderr
+    assert "66666667" in child.stderr and "MAX_INSTANTS" in child.stderr
+    assert not (tmp_path / "log.tvg").exists()
 
 
 def test_sweep_negative_workers_is_usage_error(small_tvg_path, tmp_path, capsys):

@@ -228,6 +228,9 @@ def test_milestones_trivial_threshold():
 
 
 def test_diffusion_ignores_snapshot_mutation_attempts(chain4):
-    # contact sets are frozen; the engine sees a stable view
-    with pytest.raises(AttributeError):
-        chain4.snapshots[0].contacts.add((2, 3))
+    # the contact arrays are read-only; the engine sees a stable view
+    with pytest.raises(ValueError, match="read-only"):
+        chain4.snapshots[0].pairs[0, 1] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        chain4.edges[0, 2] = 3
+    assert list(chain4.snapshots[0].contact_list) == [(0, 1)]

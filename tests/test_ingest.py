@@ -161,3 +161,9 @@ def test_relabeling_invariance():
     for t_i in (0, a.num_instants // 2, a.num_instants - 1):
         assert tcc(a, t_i, 3) == tcc(b, t_i, 3)
         assert cover_time(a, t_i, thr_a) == cover_time(b, t_i, thr_a)
+
+
+def test_discretize_refuses_instant_count_over_the_cap():
+    # an outlier timestamp 2e9 s after the first: 66.7 M instants at 30 s bins
+    with pytest.raises(ValueError, match="MAX_INSTANTS"):
+        discretize(records("0,a,b\n2000000000,b,c\n"), IngestConfig(30))

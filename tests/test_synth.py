@@ -68,7 +68,7 @@ def test_snapshots_are_independent_substreams():
     spec = ErTvgSpec(25, 40, 0.08, seed=9)
     tvg = generate_er_tvg(spec)
     for i in (0, 7, 39):
-        assert frozenset(snapshot_pairs(spec, i)) == tvg.snapshots[i].contacts
+        assert frozenset(snapshot_pairs(spec, i)) == frozenset(tvg.snapshots[i].contact_list)
     with pytest.raises(ValueError):
         snapshot_pairs(spec, 40)
 

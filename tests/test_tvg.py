@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import io
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from timecent import (
+    MAX_INSTANTS,
     TVG,
     Contact,
-    Snapshot,
     TvgFormatError,
     build_tvg,
     churn_rate,
@@ -36,8 +38,8 @@ def test_build_tvg_one_contact_per_snapshot(chain4):
     assert chain4.num_nodes == 4
     assert chain4.num_instants == 3
     assert [len(s) for s in chain4.snapshots] == [1, 1, 1]
-    assert chain4.snapshots[0].contacts == {(0, 1)}
-    assert chain4.snapshots[2].contacts == {(2, 3)}
+    assert set(chain4.snapshots[0].contact_list) == {(0, 1)}
+    assert set(chain4.snapshots[2].contact_list) == {(2, 3)}
 
 
 def test_build_tvg_empty():
@@ -89,19 +91,23 @@ def test_neighbors_reciprocity_random():
 
 
 def test_snapshot_adjacency_symmetric():
-    snap = Snapshot([(0, 1), (1, 2)])
-    assert snap.neighbors(1) == {0, 2}
-    assert snap.neighbors(0) == {1}
-    assert snap.neighbors(3) == frozenset()
+    tvg = TVG.from_snapshot_pairs(4, [[(0, 1), (1, 2)]])
+    assert tvg.neighbors(1, 0) == {0, 2}
+    assert tvg.neighbors(0, 0) == {1}
+    assert tvg.neighbors(3, 0) == frozenset()
 
 
 def test_tvg_constructor_validation():
-    with pytest.raises(ValueError, match="snapshots"):
-        TVG(2, 3, [Snapshot()])
+    with pytest.raises(ValueError, match="time 3 out of range"):
+        TVG(2, 3, [(3, 0, 1)])
     with pytest.raises(ValueError, match="num_instants"):
         TVG(2, 0, [])
     with pytest.raises(ValueError, match="node range"):
-        TVG(2, 1, [Snapshot([(0, 7)])])
+        TVG(2, 1, [(0, 0, 7)])
+    with pytest.raises(ValueError, match="a < b"):
+        TVG(2, 1, [(0, 1, 0)])
+    with pytest.raises(ValueError, match=r"\(time, a, b\) rows"):
+        TVG(4, 1, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_churn_identical_snapshots_is_zero():
@@ -179,8 +185,55 @@ def test_save_load_round_trip(tmp_path, chain4):
         ("tvg v1 2 2\n0 0 4\n", "node out of range"),
         ("tvg v1 2 2\n0 1 0\n", "a < b"),
         ("tvg v1 2 2\n0 1 1\n", "a < b"),
+        # the first bad line is named, whatever is wrong with later lines
+        ("tvg v1 2 2\n\n0 0 x\n0 1\n", "line 3: non-integer"),
+        ("tvg v1 2 2\n0 0 1\n\n\n5 0 1\n0 0\n", "line 5: time 5 out of range"),
+        ("tvg v1 2 2\n0 0 1\n1 1 0\n0 0 7\n", "line 3: .*a < b"),
+        ("tvg v1 2 2\n0 0 1\n0 1\n0 0 x\n", "line 3: expected"),
+        ("tvg v1 2 2\n1 0 99999999999999999999\n", "line 2: node out of range"),
+        ("tvg v1 2 2\n-99999999999999999999 0 1\n", "line 2: time -99999999999999999999"),
     ],
 )
 def test_parse_errors(text, match):
     with pytest.raises(TvgFormatError, match=match):
         parse_tvg(io.StringIO(text))
+
+
+def _churn_by_sets(tvg):
+    """churn_rate from per-instant contact sets (the definition)."""
+    sets = [set(s.contact_list) for s in tvg.snapshots]
+    flipped = sum(len(c ^ d) for c, d in zip(sets, sets[1:]))
+    active = sum(len(c | d) for c, d in zip(sets, sets[1:]))
+    return Fraction(flipped, active) if active else Fraction(0)
+
+
+def test_churn_matches_set_reference_random():
+    rng = random.Random(21)
+    tvgs = [random_tvg(rng, max_instants=rng.choice((2, 12))) for _ in range(60)]
+    tvgs += [build_tvg(4, 2, []), build_tvg(3, 5, []), build_tvg(2, 2, [Contact(0, 1, 1)])]
+    for tvg in tvgs:
+        if tvg.num_instants >= 2:
+            assert churn_rate(tvg) == _churn_by_sets(tvg)
+
+
+def test_instant_cap_is_checked_before_allocation():
+    with pytest.raises(TvgFormatError, match=str(MAX_INSTANTS)):
+        parse_tvg(io.StringIO(f"tvg v1 3 {MAX_INSTANTS + 1}\n"))
+    with pytest.raises(ValueError, match="MAX_INSTANTS"):
+        TVG(3, 10**9, [])
+    assert TVG(3, MAX_INSTANTS, [(MAX_INSTANTS - 1, 0, 2)]).num_contacts() == 1
+
+
+def test_many_empty_instants_load_in_bounded_memory():
+    # one int64 offset per instant: 2 million empty instants peak at about 16 MB
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        tvg = parse_tvg(io.StringIO("tvg v1 3 2000000\n"))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tvg.num_instants, tvg.num_contacts(), len(tvg.snapshots)) == (2000000, 0, 2000000)
+    assert peak < 64 * 2**20
+    assert elapsed < 1.0
