@@ -25,16 +25,7 @@ from .centrality import (
     rank_instants,
     tcc,
 )
-from .diffusion import (
-    UNREACHED,
-    CoverageThreshold,
-    DiffusionTrace,
-    constrained_count,
-    cover_steps,
-    diffuse,
-    spread_milestones,
-    spread_profile,
-)
+from .diffusion import CoverageThreshold, spread_milestones
 from .ingest import (
     ContactLogError,
     ContactRecord,
@@ -90,13 +81,7 @@ __all__ = [
     "reference_spec",
     "snapshot_pairs",
     # diffusion
-    "DiffusionTrace",
     "CoverageThreshold",
-    "UNREACHED",
-    "diffuse",
-    "cover_steps",
-    "constrained_count",
-    "spread_profile",
     "spread_milestones",
     # centrality
     "INF",

@@ -101,6 +101,8 @@ def default_eval_range(num_instants: int) -> tuple[int, int]:
 def _cover_time_detail(
     tvg: TVG, t_i: int, thr: CoverageThreshold
 ) -> tuple[MetricValue, int]:
+    if tvg.num_nodes == 0:
+        raise ValueError("TVG has no nodes")
     milestones = spread_milestones(tvg, t_i, stop_count=thr.required_count)
     need = thr.required_count
     unreached = sum(1 for m in milestones if len(m) < need)

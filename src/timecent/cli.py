@@ -1,16 +1,15 @@
 """Command-line front end.
 
-Subcommands: generate, ingest, ct, tcc, dist, rank, compare, churn and a
-hidden oracle-check fuzzer. Every run prints a reproducibility header
-(version, full configuration, seed) to stdout; artifacts are written to
-files named by --out. Exit codes: 0 success, 1 usage error, 2 data error.
+Subcommands: generate, ingest, ct, tcc, dist, rank, compare and churn.
+Every run prints a reproducibility header (version, full configuration,
+seed) to stdout; artifacts are written to files named by --out. Exit
+codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from typing import IO, Sequence
 
@@ -30,11 +29,9 @@ from .centrality import (
     write_distribution_csv,
     write_table_csv,
 )
-from .diffusion import spread_profile
-from .ingest import ContactLogError, IngestConfig, discretize_with_stats, parse_contacts
-from .oracle import expand, reach_profile
+from .ingest import IngestConfig, discretize_with_stats, parse_contacts
 from .synth import ErTvgSpec, generate_er_tvg, reference_spec
-from .tvg import TVG, TemporalNode, TvgFormatError, churn_rate, load_tvg, save_tvg
+from .tvg import TVG, churn_rate, load_tvg, save_tvg
 
 
 class _UsageError(Exception):
@@ -80,7 +77,7 @@ WORKERS_HELP = "accepted for compatibility, no effect on the sweep"
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="timecent", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"timecent {__version__}")
-    # metavar hides help-less subcommands (oracle-check) from the listing
+    # metavar keeps the usage line short: "COMMAND", not the list of subcommands
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("generate", help="generate a randomized TVG")
@@ -140,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("churn", help="contact churn rate of a TVG")
     p.add_argument("input", help="tvg v1 file")
-
-    p = sub.add_parser("oracle-check")  # hidden fuzzer, test support
-    p.add_argument("--trials", type=int, default=200, help="number of random TVGs")
-    p.add_argument("--seed", type=int, default=0, help="fuzzer seed")
-    p.add_argument("--max-nodes", type=int, default=8, help="node-count ceiling")
-    p.add_argument("--max-instants", type=int, default=10, help="instant-count ceiling")
 
     return parser
 
@@ -304,46 +295,6 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    _print_header(
-        args,
-        {
-            "trials": args.trials,
-            "seed": args.seed,
-            "max_nodes": args.max_nodes,
-            "max_instants": args.max_instants,
-        },
-    )
-    rng = random.Random(args.seed)
-    checked = 0
-    for trial in range(args.trials):
-        n = rng.randint(2, args.max_nodes)
-        big_n = rng.randint(1, args.max_instants)
-        p = rng.choice((0.1, 0.3, 0.6))
-        per_time = [
-            [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
-            for _ in range(big_n)
-        ]
-        tvg = TVG.from_snapshot_pairs(n, per_time)
-        g = expand(tvg)
-        for node in range(n):
-            for time in range(big_n):
-                start = TemporalNode(node, time)
-                profile = spread_profile(tvg, start)
-                reach = reach_profile(g, start)
-                if len(profile) != len(reach):
-                    print(f"FAIL trial {trial}: profile lengths differ at {start}")
-                    return 2
-                for s, mask in enumerate(profile):
-                    got = {v for v in range(n) if mask >> v & 1}
-                    if got != reach[s]:
-                        print(f"FAIL trial {trial}: mismatch at {start} step {s}")
-                        return 2
-                checked += 1
-    print(f"ok: {checked} start nodes checked over {args.trials} TVGs")
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "ingest": _cmd_ingest,
@@ -353,7 +304,6 @@ _COMMANDS = {
     "rank": _cmd_rank,
     "compare": _cmd_compare,
     "churn": _cmd_churn,
-    "oracle-check": _cmd_oracle_check,
 }
 
 
@@ -365,9 +315,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TvgFormatError, ContactLogError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -13,16 +13,16 @@ snapshots may carry new contacts. Iteration stops only when a stopping
 rule fires (informed-count threshold met, step budget spent) or when the
 snapshots run out.
 
-Informed sets are held as int bitmasks (bit v = node v informed); the
-helpers below convert to frozensets at the API boundary. spread_milestones
-runs all |V| start nodes of one instant simultaneously; the single-instant
-cover_time and tcc of timecent.centrality build on it.
-
-earliest_arrivals answers every start node of every instant of a range in
-one backward pass over the snapshots; the centrality sweeps build on it.
-It reads each snapshot as its contact nodes by degree and their k-th
+Two engines follow this rule. spread_milestones floods forward from all
+|V| start nodes of one instant at once, holding int bitmasks over start
+nodes; the single-instant cover_time and tcc of timecent.centrality, and
+the bound on the snapshots a ct sweep reads, build on it.
+earliest_arrivals answers every start node of every instant of a range
+in one backward pass over the snapshots; the centrality sweeps build on
+it. It reads each snapshot as its contact nodes by degree and their k-th
 neighbours, which _neighbour_columns derives with numpy from the TVG's
-edge slices.
+edge slices. The time-expanded oracle (timecent.oracle) is the
+independent reference the tests check both engines against.
 """
 
 from __future__ import annotations
@@ -33,19 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tvg import TVG, TemporalNode
-
-
-class _Unreached:
-    """Distinct result for a diffusion that never met its threshold."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNREACHED"
-
-
-UNREACHED = _Unreached()
+from .tvg import TVG
 
 
 def check_tau(tau: Fraction | str | int) -> Fraction:
@@ -87,31 +75,13 @@ class CoverageThreshold:
         return cls(frac, required)
 
 
-@dataclass(frozen=True)
-class DiffusionTrace:
-    """Informed-set sizes of one diffusion, sizes[s] = |I_s|."""
-
-    start: TemporalNode
-    sizes: tuple[int, ...]
-    exhausted: bool
-    informed: frozenset[int]
-
-
 # Instants whose contacts or neighbour columns are prepared at once: bounds
 # the arrays a loop holds, and the work a loop that stops early has wasted.
 _CHUNK = 1024
 
 
-def _check_start(tvg: TVG, start: TemporalNode) -> None:
-    node, time = start
-    if not 0 <= node < tvg.num_nodes:
-        raise ValueError(f"start node {node} out of range [0,{tvg.num_nodes})")
-    if not 0 <= time < tvg.num_instants:
-        raise ValueError(f"start time {time} out of range [0,{tvg.num_instants})")
-
-
 def _contact_lists(tvg: TVG, first: int, last: int) -> Iterator[list[list[int]]]:
-    """Contacts of each instant of [first, last) as [a, b] lists, for the Python loops.
+    """Contacts of each instant of [first, last) as [a, b] lists, for the forward flood.
 
     The offsets are read _CHUNK instants at a time, so a caller that stops
     early pays for the instants it reads, not for the rest of the TVG.
@@ -121,90 +91,6 @@ def _contact_lists(tvg: TVG, first: int, last: int) -> Iterator[list[list[int]]]
         bounds = tvg.offsets[start : min(start + _CHUNK, last) + 1].tolist()
         for lo, hi in zip(bounds, bounds[1:]):
             yield pairs[lo:hi].tolist()
-
-
-def _spread_steps(tvg: TVG, node: int, time: int) -> Iterator[int]:
-    """Yield the informed bitmask after each step, up to exhaustion."""
-    informed = 1 << node
-    for contacts in _contact_lists(tvg, time, tvg.num_instants):
-        new = informed
-        for a, b in contacts:
-            if informed >> a & 1:
-                new |= 1 << b
-            if informed >> b & 1:
-                new |= 1 << a
-        informed = new
-        yield informed
-
-
-def spread_profile(tvg: TVG, start: TemporalNode) -> list[int]:
-    """Informed bitmasks [I_0, I_1, ..., I_smax], run to exhaustion."""
-    _check_start(tvg, start)
-    return [1 << start.node] + list(_spread_steps(tvg, start.node, start.time))
-
-
-def mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
-def diffuse(
-    tvg: TVG,
-    start: TemporalNode,
-    *,
-    required_count: int | None = None,
-    max_steps: int | None = None,
-) -> DiffusionTrace:
-    """Run one diffusion and report per-step informed-set sizes.
-
-    Stops as soon as the informed count reaches required_count, the step
-    budget max_steps is spent, or the snapshots run out; exhausted is True
-    only in the last case.
-    """
-    _check_start(tvg, start)
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
-    sizes = [1]
-    informed = 1 << start.node
-    exhausted = False
-    if required_count is None or sizes[0] < required_count:
-        steps = _spread_steps(tvg, start.node, start.time)
-        while True:
-            if max_steps is not None and len(sizes) > max_steps:
-                break
-            try:
-                informed = next(steps)
-            except StopIteration:
-                exhausted = True
-                break
-            sizes.append(informed.bit_count())
-            if required_count is not None and sizes[-1] >= required_count:
-                break
-    return DiffusionTrace(start, tuple(sizes), exhausted, mask_to_set(informed))
-
-
-def cover_steps(
-    tvg: TVG, start: TemporalNode, thr: CoverageThreshold
-) -> int | _Unreached:
-    """Smallest step count whose informed set meets the threshold.
-
-    Returns UNREACHED when the snapshots run out before the threshold is
-    met. The start node itself counts, so required_count == 1 gives 0.
-    """
-    trace = diffuse(tvg, start, required_count=thr.required_count)
-    for s, size in enumerate(trace.sizes):
-        if size >= thr.required_count:
-            return s
-    return UNREACHED
-
-
-def constrained_count(tvg: TVG, start: TemporalNode, phi: int) -> int:
-    """Number of nodes informed after at most phi steps (start included)."""
-    return diffuse(tvg, start, max_steps=check_phi(phi)).sizes[-1]
 
 
 def spread_milestones(
@@ -222,9 +108,9 @@ def spread_milestones(
     diffusion saturates, the step budget max_steps is spent, or every
     start has informed at least stop_count nodes.
 
-    Identical to running diffuse() per start node; this transposed form
-    keeps one bitmask per node holding the set of starts that have
-    informed it, so each snapshot costs a handful of big-int operations.
+    The flood is transposed: it keeps one bitmask per node holding the set
+    of starts that have informed it, so each snapshot costs a handful of
+    big-int operations.
     """
     n = tvg.num_nodes
     if not 0 <= time < tvg.num_instants:

@@ -14,7 +14,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .tvg import TVG, NodeId, check_instants
+from .tvg import TVG, check_instants
 
 
 class ContactLogError(ValueError):
@@ -154,9 +154,3 @@ def discretize(
     tvg, _ = discretize_with_stats(records, cfg)
     return tvg
 
-
-def label_of(tvg: TVG, node: NodeId) -> str:
-    """Original label of a node, falling back to its numeric id."""
-    if tvg.node_labels and node in tvg.node_labels:
-        return tvg.node_labels[node]
-    return str(node)

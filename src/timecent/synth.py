@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .diffusion import MAX_SWEEP_NODES
 from .tvg import TVG, check_instants
 
 REFERENCE_NUM_NODES = 160
@@ -42,6 +43,11 @@ class ErTvgSpec:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
+        if self.num_nodes > MAX_SWEEP_NODES:
+            # no sweep accepts more, and one snapshot's draws stay within 256 MiB
+            raise ValueError(
+                f"num_nodes {self.num_nodes} exceeds the sweep limit of {MAX_SWEEP_NODES} nodes"
+            )
         check_instants(self.num_instants)
         if not 0 <= self.edge_probability <= 1:
             raise ValueError("edge_probability must be in [0, 1]")

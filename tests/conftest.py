@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from timecent import TVG, Contact, build_tvg
+from timecent import TVG, Contact, TemporalNode, build_tvg, expand, reach_profile, spread_milestones
+from timecent.diffusion import earliest_arrivals
 
 
 @pytest.fixture
@@ -23,3 +24,39 @@ def random_tvg(rng: random.Random, max_nodes: int = 10, max_instants: int = 12) 
         for _ in range(big_n)
     ]
     return TVG.from_snapshot_pairs(n, per_time)
+
+
+def milestones_of(profile: list[set[int]]) -> list[int]:
+    """Milestone list of an oracle reach profile: entry k is the first budget
+    whose informed set holds k + 1 nodes, as spread_milestones reports it."""
+    milestones: list[int] = []
+    for budget, informed in enumerate(profile):
+        milestones.extend([budget] * (len(informed) - len(milestones)))
+    return milestones
+
+
+def assert_engines_match_oracle(tvg: TVG) -> int:
+    """Check both diffusion engines against the time-expanded oracle.
+
+    earliest_arrivals runs once over the whole TVG; for every start u,
+    instant t and budget s, {v : E[u, v] <= t - 1 + s} must equal the
+    oracle's informed set. spread_milestones runs once per instant; its
+    milestone list for every start must equal the one derived from the
+    oracle. Returns the number of (start, budget) sets compared.
+    """
+    g = expand(tvg)
+    n, big_n = tvg.num_nodes, tvg.num_instants
+    profiles = {
+        (u, t): reach_profile(g, TemporalNode(u, t)) for t in range(big_n) for u in range(n)
+    }
+    compared = 0
+    for t, arrival in earliest_arrivals(tvg, 0, big_n, big_n - 1):
+        for u, row in enumerate(arrival.tolist()):
+            for s, informed in enumerate(profiles[u, t]):
+                within = {v for v, last in enumerate(row) if last <= t - 1 + s}
+                assert within == informed, ("earliest_arrivals", u, t, s, tvg)
+                compared += 1
+    for t in range(big_n):
+        for u, milestones in enumerate(spread_milestones(tvg, t)):
+            assert milestones == milestones_of(profiles[u, t]), ("spread_milestones", u, t, tvg)
+    return compared

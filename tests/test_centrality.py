@@ -151,6 +151,8 @@ def test_metric_sweep_rejects_empty_node_set():
         metric_sweep(empty, MetricSpec.tcc(1), (0, 2))
     with pytest.raises(ValueError, match="no nodes"):
         tcc(empty, 0, 1)
+    with pytest.raises(ValueError, match="no nodes"):
+        cover_time(empty, 0, CoverageThreshold.of("0.5", 4))
 
 
 def test_metric_sweep_range_validation(chain4):

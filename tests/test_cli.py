@@ -170,6 +170,16 @@ def test_sweep_over_the_node_cap_fails_before_allocating(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_generate_over_the_node_cap_is_a_usage_error(tmp_path):
+    # one snapshot of 100000 nodes would draw 5e9 uniforms, 37 GiB
+    child = run_limited(tmp_path, "generate", "--nodes", "100000", "--instants", "1",
+                        "--prob", "0.5", "--seed", "1", "--out", "g.tvg")
+    assert child.returncode == 1, child.stderr
+    assert "8192" in child.stderr
+    assert len(child.stderr.splitlines()) == 1
+    assert not (tmp_path / "g.tvg").exists()
+
+
 def test_header_declaring_a_billion_instants_is_a_data_error(tmp_path):
     (tmp_path / "huge.tvg").write_text("tvg v1 3 1000000000\n")
     for argv in (("ct", "huge.tvg", "--tau", "0.1", "--out", "ct.csv"), ("churn", "huge.tvg")):
@@ -268,12 +278,6 @@ def test_churn_reports_fraction(small_tvg_path, capsys):
     code, stdout, _ = run(capsys, "churn", str(small_tvg_path))
     assert code == 0
     assert "churn_rate" in stdout
-
-
-def test_oracle_check_passes(capsys):
-    code, stdout, _ = run(capsys, "oracle-check", "--trials", "20", "--seed", "3")
-    assert code == 0
-    assert "ok:" in stdout
 
 
 def test_help_exits_zero(capsys):

@@ -8,69 +8,91 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timecent import (
+    INF,
     TVG,
     Contact,
     CoverageThreshold,
+    MetricSpec,
     TemporalNode,
-    UNREACHED,
     build_tvg,
-    constrained_count,
-    cover_steps,
-    diffuse,
+    cover_time,
+    expand,
+    metric_sweep,
+    reach_profile,
     spread_milestones,
-    spread_profile,
+    tcc,
 )
-from conftest import random_tvg
+from timecent.diffusion import earliest_arrivals
+from conftest import milestones_of, random_tvg
+
+
+def arrivals_at(tvg: TVG, t: int) -> list[list[int]]:
+    """Rows of the earliest-arrival matrix of instant t, from the backward pass."""
+    _, arrival = next(earliest_arrivals(tvg, t, t + 1, tvg.num_instants - 1))
+    return arrival.tolist()
+
+
+def sweep_values(tvg: TVG, metric: MetricSpec) -> dict:
+    return metric_sweep(tvg, metric, (0, tvg.num_instants)).values
 
 
 def test_trace_micro_chain(chain4):
-    trace = diffuse(chain4, TemporalNode(0, 0))
-    assert trace.sizes == (1, 2, 3, 4)
-    assert trace.exhausted
-    assert trace.informed == {0, 1, 2, 3}
+    assert spread_milestones(chain4, 0)[0] == [0, 1, 2, 3]
+    # node v joins the flood from (0, t0) after consuming snapshot E[0, v]
+    assert arrivals_at(chain4, 0)[0] == [-1, 0, 1, 2]
 
 
 def test_trace_final_snapshot_delivers(chain4):
-    trace = diffuse(chain4, TemporalNode(3, 2))
-    assert trace.sizes == (1, 2)
-    assert trace.exhausted
-    assert trace.informed == {2, 3}
+    assert spread_milestones(chain4, 2)[3] == [0, 1]
+    assert arrivals_at(chain4, 2)[3][2] == 2
+    # at t2 starts 2 and 3 each inform two nodes within one step, 0 and 1 one each
+    assert sweep_values(chain4, MetricSpec.tcc(1))[2] == Fraction(6, 16)
 
 
 def test_trace_empty_snapshots_stay_at_one():
     tvg = build_tvg(5, 4, [])
-    for node in range(5):
-        for time in range(4):
-            trace = diffuse(tvg, TemporalNode(node, time))
-            assert set(trace.sizes) == {1}
-            assert trace.exhausted
+    for time in range(4):
+        assert spread_milestones(tvg, time) == [[0]] * 5
+    assert set(sweep_values(tvg, MetricSpec.tcc(4)).values()) == {Fraction(1, 5)}
+    assert set(sweep_values(tvg, MetricSpec.ct("0.2")).values()) == {0}
+    table = metric_sweep(tvg, MetricSpec.ct("0.4"), (0, 4))
+    assert set(table.values.values()) == {INF}
+    assert set(table.unreached_starts.values()) == {5}
 
 
 def test_no_growth_step_does_not_terminate():
     # a quiet snapshot in the middle must not end the diffusion
     tvg = build_tvg(3, 3, [Contact(0, 1, 0), Contact(1, 2, 2)])
-    trace = diffuse(tvg, TemporalNode(0, 0))
-    assert trace.sizes == (1, 2, 2, 3)
-    assert trace.exhausted
+    assert spread_milestones(tvg, 0)[0] == [0, 1, 3]
+    assert arrivals_at(tvg, 0)[0] == [-1, 0, 2]
+    # starts 0 and 1 inform a second node at step 1, start 2 only at step 3
+    assert sweep_values(tvg, MetricSpec.ct(Fraction(2, 3)))[0] == Fraction(5, 3)
 
 
-def test_trace_threshold_stops_early(chain4):
-    trace = diffuse(chain4, TemporalNode(0, 0), required_count=2)
-    assert trace.sizes == (1, 2)
-    assert not trace.exhausted
+def test_trace_threshold_stops_early():
+    # every start informs two nodes at t0, so the flood ends before t1's contact
+    tvg = build_tvg(4, 2, [Contact(0, 1, 0), Contact(2, 3, 0), Contact(1, 2, 1)])
+    assert spread_milestones(tvg, 0)[0] == [0, 1, 2]
+    assert spread_milestones(tvg, 0, stop_count=2) == [[0, 1]] * 4
+    assert sweep_values(tvg, MetricSpec.ct("0.5"))[0] == 1
 
 
 def test_trace_step_budget_stops(chain4):
-    trace = diffuse(chain4, TemporalNode(0, 0), max_steps=1)
-    assert trace.sizes == (1, 2)
-    assert not trace.exhausted
+    assert spread_milestones(chain4, 0, max_steps=1)[0] == [0, 1]
+    assert sweep_values(chain4, MetricSpec.tcc(1))[0] == Fraction(3, 8)
 
 
 def test_trace_invalid_start(chain4):
+    thr = CoverageThreshold.of("0.5", 4)
+    for time in (-1, 3):
+        with pytest.raises(ValueError):
+            spread_milestones(chain4, time)
+        with pytest.raises(ValueError):
+            cover_time(chain4, time, thr)
+        with pytest.raises(ValueError):
+            tcc(chain4, time, 1)
     with pytest.raises(ValueError):
-        diffuse(chain4, TemporalNode(4, 0))
-    with pytest.raises(ValueError):
-        diffuse(chain4, TemporalNode(0, 3))
+        spread_milestones(chain4, 0, max_steps=-1)
 
 
 def test_threshold_exact_arithmetic():
@@ -91,35 +113,42 @@ def test_threshold_validation():
         CoverageThreshold.of("0.5", 0)
 
 
-def test_cover_steps_micro(chain4):
-    assert cover_steps(chain4, TemporalNode(0, 0), CoverageThreshold.of("0.5", 4)) == 1
-    assert cover_steps(chain4, TemporalNode(3, 2), CoverageThreshold.of("1.0", 4)) is UNREACHED
+def test_milestones_cover_micro(chain4):
+    # (0, t0) informs its second node at step 1; (3, t2) never informs all four
+    assert spread_milestones(chain4, 0)[0][1] == 1
+    assert len(spread_milestones(chain4, 2)[3]) < 4
+    table = metric_sweep(chain4, MetricSpec.ct("1.0"), (0, 3))
+    assert table.values[2] == INF
+    assert table.unreached_starts[2] == 4
 
 
-def test_cover_steps_threshold_of_one_is_zero(chain4):
+def test_threshold_of_one_is_met_at_step_zero(chain4):
     thr = CoverageThreshold.of(Fraction(1, 4), 4)
     assert thr.required_count == 1
-    for node in range(4):
-        for time in range(3):
-            assert cover_steps(chain4, TemporalNode(node, time), thr) == 0
+    for time in range(3):
+        assert cover_time(chain4, time, thr) == 0
+    assert set(sweep_values(chain4, MetricSpec.ct(Fraction(1, 4))).values()) == {0}
 
 
-def test_constrained_count_micro(chain4):
-    assert constrained_count(chain4, TemporalNode(0, 0), 1) == 2
-    assert constrained_count(chain4, TemporalNode(2, 0), 1) == 1
+def test_coverage_micro(chain4):
+    # within one step from t0: starts 0 and 1 inform two nodes, 2 and 3 one
+    assert [len(m) for m in spread_milestones(chain4, 0, max_steps=1)] == [2, 2, 1, 1]
 
 
-def test_constrained_count_budget_never_binds(chain4):
+def test_coverage_budget_never_binds(chain4):
     # phi >= N gives total temporal reachability from the start
-    for node in range(4):
-        full = diffuse(chain4, TemporalNode(node, 0)).sizes[-1]
-        assert constrained_count(chain4, TemporalNode(node, 0), 3) == full
-        assert constrained_count(chain4, TemporalNode(node, 0), 50) == full
+    for time in range(3):
+        full = Fraction(sum(len(m) for m in spread_milestones(chain4, time)), 16)
+        assert tcc(chain4, time, 3) == full
+        assert tcc(chain4, time, 50) == full
+    assert sweep_values(chain4, MetricSpec.tcc(50)) == sweep_values(chain4, MetricSpec.tcc(3))
 
 
-def test_constrained_count_requires_positive_budget(chain4):
+def test_tcc_requires_positive_budget(chain4):
     with pytest.raises(ValueError):
-        constrained_count(chain4, TemporalNode(0, 0), 0)
+        tcc(chain4, 0, 0)
+    with pytest.raises(ValueError):
+        MetricSpec.tcc(0)
 
 
 @st.composite
@@ -137,61 +166,55 @@ def tvg_strategy(draw):
 @settings(max_examples=60, deadline=None)
 @given(tvg_strategy(), st.data())
 def test_sizes_monotone_and_bounded(tvg, data):
-    node = data.draw(st.integers(min_value=0, max_value=tvg.num_nodes - 1))
     time = data.draw(st.integers(min_value=0, max_value=tvg.num_instants - 1))
-    trace = diffuse(tvg, TemporalNode(node, time))
-    assert trace.sizes[0] == 1
-    assert len(trace.sizes) == tvg.num_instants - time + 1
-    for prev, cur in zip(trace.sizes, trace.sizes[1:]):
-        assert prev <= cur
-    assert trace.sizes[-1] <= tvg.num_nodes
+    for milestones in spread_milestones(tvg, time):
+        assert milestones[0] == 0
+        for prev, cur in zip(milestones, milestones[1:]):
+            assert prev <= cur
+        assert len(milestones) <= tvg.num_nodes
+        assert milestones[-1] <= tvg.num_instants - time
 
 
 @settings(max_examples=60, deadline=None)
 @given(tvg_strategy(), st.data())
-def test_constrained_count_monotone_in_budget(tvg, data):
-    node = data.draw(st.integers(min_value=0, max_value=tvg.num_nodes - 1))
+def test_coverage_monotone_in_budget(tvg, data):
     time = data.draw(st.integers(min_value=0, max_value=tvg.num_instants - 1))
-    start = TemporalNode(node, time)
-    counts = [constrained_count(tvg, start, phi) for phi in range(1, tvg.num_instants + 2)]
+    counts = [
+        [len(m) for m in spread_milestones(tvg, time, max_steps=phi)]
+        for phi in range(1, tvg.num_instants + 2)
+    ]
     for prev, cur in zip(counts, counts[1:]):
-        assert prev <= cur
+        assert all(p <= c for p, c in zip(prev, cur))
 
 
 @settings(max_examples=60, deadline=None)
 @given(tvg_strategy(), st.data())
-def test_cover_steps_consistent_with_constrained_count(tvg, data):
-    node = data.draw(st.integers(min_value=0, max_value=tvg.num_nodes - 1))
+def test_cover_step_consistent_with_coverage(tvg, data):
     time = data.draw(st.integers(min_value=0, max_value=tvg.num_instants - 1))
-    start = TemporalNode(node, time)
     n = tvg.num_nodes
     for required in range(2, n + 1):
         thr = CoverageThreshold.of(Fraction(required, n), n)
         assert thr.required_count == required
-        steps = cover_steps(tvg, start, thr)
-        if steps is UNREACHED:
-            continue
-        assert steps >= 1
-        assert constrained_count(tvg, start, steps) >= required
-        if steps >= 2:
-            assert constrained_count(tvg, start, steps - 1) < required
+        for u, m in enumerate(spread_milestones(tvg, time, stop_count=required)):
+            if len(m) < required:
+                continue
+            steps = m[required - 1]
+            assert steps >= 1
+            assert len(spread_milestones(tvg, time, max_steps=steps)[u]) >= required
+            if steps >= 2:
+                assert len(spread_milestones(tvg, time, max_steps=steps - 1)[u]) < required
 
 
 def test_milestones_match_per_start_diffusions():
-    """The all-starts engine agrees with one diffusion per start node."""
+    """The all-starts engine agrees with the oracle's diffusion per start node."""
     rng = random.Random(1234)
     for _ in range(120):
         tvg = random_tvg(rng, max_nodes=9, max_instants=10)
+        g = expand(tvg)
         time = rng.randrange(tvg.num_instants)
         milestones = spread_milestones(tvg, time)
         for u in range(tvg.num_nodes):
-            profile = spread_profile(tvg, TemporalNode(u, time))
-            expected = []
-            seen = 0
-            for step, mask in enumerate(profile):
-                size = mask.bit_count()
-                expected.extend([step] * (size - seen))
-                seen = size
+            expected = milestones_of(reach_profile(g, TemporalNode(u, time)))
             assert milestones[u] == expected, (u, time)
 
 

@@ -2,18 +2,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from timecent import (
-    TemporalNode,
-    build_tvg,
-    diffuse,
-    expand,
-    oracle_reach,
-    reach_profile,
-    spread_profile,
-)
-from conftest import random_tvg
+from timecent import TemporalNode, build_tvg, expand, oracle_reach, spread_milestones
+from timecent.diffusion import earliest_arrivals
+from conftest import assert_engines_match_oracle, random_tvg
 
 
 def test_expand_micro_counts(chain4):
@@ -82,28 +76,20 @@ def test_diffusion_matches_oracle_small_batch():
     """Spot equivalence run; the full 1000-instance sweep is in acceptance."""
     rng = random.Random(410)
     for _ in range(100):
-        tvg = random_tvg(rng)
-        g = expand(tvg)
-        for node in range(tvg.num_nodes):
-            for time in range(tvg.num_instants):
-                start = TemporalNode(node, time)
-                masks = spread_profile(tvg, start)
-                profile = reach_profile(g, start)
-                assert len(masks) == len(profile)
-                for s, mask in enumerate(masks):
-                    assert {v for v in range(tvg.num_nodes) if mask >> v & 1} == profile[s]
+        assert assert_engines_match_oracle(random_tvg(rng)) > 0
 
 
-def test_diffuse_final_set_matches_oracle_reach():
+def test_arrivals_match_oracle_reach():
+    # budgets past the last snapshot included: both engines then hold the full reach
     rng = random.Random(411)
     for _ in range(40):
         tvg = random_tvg(rng)
         g = expand(tvg)
         node = rng.randrange(tvg.num_nodes)
         time = rng.randrange(tvg.num_instants)
-        start = TemporalNode(node, time)
-        trace = diffuse(tvg, start)
-        assert trace.informed == oracle_reach(g, start, len(trace.sizes) - 1)
         budget = rng.randint(0, tvg.num_instants + 2)
-        capped = diffuse(tvg, start, max_steps=budget)
-        assert capped.informed == oracle_reach(g, start, budget)
+        expected = oracle_reach(g, TemporalNode(node, time), budget)
+        _, arrival = next(earliest_arrivals(tvg, time, time + 1, tvg.num_instants - 1))
+        assert set(np.flatnonzero(arrival[node] <= time - 1 + budget).tolist()) == expected
+        milestones = spread_milestones(tvg, time, max_steps=budget)
+        assert len(milestones[node]) == len(expected)
