@@ -28,7 +28,6 @@ from typing import IO, Iterable, Literal, Sequence
 import numpy as np
 
 from .diffusion import (
-    MAX_SWEEP_NODES,
     NEVER,
     CoverageThreshold,
     check_phi,
@@ -98,23 +97,19 @@ def default_eval_range(num_instants: int) -> tuple[int, int]:
     return (0, min(num_instants, last))
 
 
-def _cover_time_detail(
-    tvg: TVG, t_i: int, thr: CoverageThreshold
-) -> tuple[MetricValue, int]:
-    if tvg.num_nodes == 0:
-        raise ValueError("TVG has no nodes")
-    milestones = spread_milestones(tvg, t_i, stop_count=thr.required_count)
-    need = thr.required_count
-    unreached = sum(1 for m in milestones if len(m) < need)
-    if unreached:
-        return INF, unreached
-    return Fraction(sum(m[need - 1] for m in milestones), tvg.num_nodes), 0
-
-
 def cover_time(tvg: TVG, t_i: int, thr: CoverageThreshold) -> MetricValue:
     """Cover time of one instant: mean steps to the threshold, or INF."""
-    value, _ = _cover_time_detail(tvg, t_i, thr)
-    return value
+    if tvg.num_nodes == 0:
+        raise ValueError("TVG has no nodes")
+    need = thr.required_count
+    if need != CoverageThreshold.of(thr.tau, tvg.num_nodes).required_count:
+        raise ValueError(
+            f"threshold of {need} nodes does not match tau={thr.tau} on {tvg.num_nodes} nodes"
+        )
+    milestones = spread_milestones(tvg, t_i, stop_count=need)
+    if any(len(m) < need for m in milestones):
+        return INF
+    return Fraction(sum(m[need - 1] for m in milestones), tvg.num_nodes)
 
 
 def tcc(tvg: TVG, t_i: int, phi: int) -> Fraction:
@@ -135,6 +130,8 @@ def _ct_pass_top(tvg: TVG, last: int, need: int) -> int:
     it, the latest of them bounds the whole range; otherwise the pass reads
     to the end.
     """
+    if last == tvg.num_instants:
+        return last - 1  # the range's last instant reads the last snapshot itself
     reach = spread_milestones(tvg, last - 1, stop_count=need)
     if any(len(m) < need for m in reach):
         return tvg.num_instants - 1
@@ -159,8 +156,6 @@ def metric_sweep(
     n = tvg.num_nodes
     if n == 0:
         raise ValueError("TVG has no nodes")
-    if n > MAX_SWEEP_NODES:
-        raise ValueError(f"{n} nodes exceed the sweep limit of {MAX_SWEEP_NODES} nodes")
     if eval_range is None:
         eval_range = default_eval_range(tvg.num_instants)
     first, last = eval_range

@@ -13,16 +13,16 @@ snapshots may carry new contacts. Iteration stops only when a stopping
 rule fires (informed-count threshold met, step budget spent) or when the
 snapshots run out.
 
-Two engines follow this rule. spread_milestones floods forward from all
-|V| start nodes of one instant at once, holding int bitmasks over start
-nodes; the single-instant cover_time and tcc of timecent.centrality, and
-the bound on the snapshots a ct sweep reads, build on it.
-earliest_arrivals answers every start node of every instant of a range
-in one backward pass over the snapshots; the centrality sweeps build on
-it. It reads each snapshot as its contact nodes by degree and their k-th
-neighbours, which _neighbour_columns derives with numpy from the TVG's
-edge slices. The time-expanded oracle (timecent.oracle) is the
-independent reference the tests check both engines against.
+One engine follows this rule. earliest_arrivals answers every start
+node of every instant of a range in one backward pass over the
+snapshots; the centrality sweeps build on it. It reads each snapshot as
+its contact nodes by degree and their k-th neighbours, which
+_neighbour_columns derives with numpy from the TVG's edge slices.
+spread_milestones reduces a single-instant pass to per-start milestone
+lists; the single-instant cover_time and tcc of timecent.centrality, and
+the bound on the snapshots a ct sweep reads, build on it. The
+time-expanded oracle (timecent.oracle) is the independent reference the
+tests check the engine against.
 """
 
 from __future__ import annotations
@@ -75,95 +75,13 @@ class CoverageThreshold:
         return cls(frac, required)
 
 
-# Instants whose contacts or neighbour columns are prepared at once: bounds
-# the arrays a loop holds, and the work a loop that stops early has wasted.
+# Instants whose neighbour columns are prepared at once: bounds the arrays
+# a pass holds, and the work a pass with a near top has wasted.
 _CHUNK = 1024
 
 
-def _contact_lists(tvg: TVG, first: int, last: int) -> Iterator[list[list[int]]]:
-    """Contacts of each instant of [first, last) as [a, b] lists, for the forward flood.
-
-    The offsets are read _CHUNK instants at a time, so a caller that stops
-    early pays for the instants it reads, not for the rest of the TVG.
-    """
-    pairs = tvg.edges[:, 1:]
-    for start in range(first, last, _CHUNK):
-        bounds = tvg.offsets[start : min(start + _CHUNK, last) + 1].tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield pairs[lo:hi].tolist()
-
-
-def spread_milestones(
-    tvg: TVG,
-    time: int,
-    *,
-    max_steps: int | None = None,
-    stop_count: int | None = None,
-) -> list[list[int]]:
-    """Run all |V| diffusions starting at one instant simultaneously.
-
-    Returns per start node u a milestone array m where m[k] is the first
-    step at which the diffusion from (u, time) had informed k+1 nodes
-    (m[0] == 0 always). Arrays grow until the snapshots run out, every
-    diffusion saturates, the step budget max_steps is spent, or every
-    start has informed at least stop_count nodes.
-
-    The flood is transposed: it keeps one bitmask per node holding the set
-    of starts that have informed it, so each snapshot costs a handful of
-    big-int operations.
-    """
-    n = tvg.num_nodes
-    if not 0 <= time < tvg.num_instants:
-        raise ValueError(f"time {time} out of range [0,{tvg.num_instants})")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
-    milestones: list[list[int]] = [[0] for _ in range(n)]
-    if stop_count is not None and stop_count <= 1:
-        return milestones
-    # spread[v] = bitmask over start nodes whose diffusion has informed v
-    spread = [1 << u for u in range(n)]
-    total = n
-    full_total = n * n
-    pending = n
-    last = tvg.num_instants
-    if max_steps is not None:
-        last = min(last, time + max_steps)
-    for step, contacts in enumerate(_contact_lists(tvg, time, last), start=1):
-        if not contacts:
-            continue
-        updates: dict[int, int] = {}
-        get = updates.get
-        for a, b in contacts:
-            sa = spread[a]
-            sb = spread[b]
-            if sb & ~sa:
-                updates[a] = get(a, 0) | sb
-            if sa & ~sb:
-                updates[b] = get(b, 0) | sa
-        if not updates:
-            continue
-        for v, add in updates.items():
-            newly = add & ~spread[v]
-            if not newly:
-                continue
-            spread[v] |= newly
-            total += newly.bit_count()
-            while newly:
-                low = newly & -newly
-                newly ^= low
-                m = milestones[low.bit_length() - 1]
-                m.append(step)
-                if stop_count is not None and len(m) == stop_count:
-                    pending -= 1
-        if total == full_total:
-            break
-        if stop_count is not None and pending == 0:
-            break
-    return milestones
-
-
-# Largest node count a sweep accepts: the state of earliest_arrivals is one
-# n x n int32 matrix, 256 MiB at this size.
+# Largest node count earliest_arrivals (every metric) accepts: its state is
+# one n x n int32 matrix, 256 MiB at this size.
 MAX_SWEEP_NODES = 8192
 
 # Arrival entry of a node the flood never informs.
@@ -190,23 +108,27 @@ def _neighbour_columns(
         nbr = np.concatenate((block[:, 2], block[:, 1]))
         order = np.lexsort((node, time))
         time, node, nbr = time[order], node[order], nbr[order]
-        head = np.ones(len(time), dtype=bool)
-        head[1:] = (time[1:] != time[:-1]) | (node[1:] != node[:-1])
-        starts = np.flatnonzero(head)
-        degree = np.diff(np.append(starts, len(time)))
+        # head[i]: arc i opens a group; the last entry closes the final one
+        head = np.ones(len(time) + 1, dtype=bool)
+        head[1:-1] = (time[1:] != time[:-1]) | (node[1:] != node[:-1])
+        bounds = np.flatnonzero(head)
+        starts = bounds[:-1]
+        degree = bounds[1:] - starts
         # each snapshot's nodes by degree; column k follows the same order
-        by_degree = np.lexsort((-degree, time[starts]))
+        group_time = time[starts]
+        by_degree = np.lexsort((-degree, group_time))
         nodes = node[starts[by_degree]]
-        node_at = np.searchsorted(time[starts[by_degree]], span).tolist()
+        node_at = np.searchsorted(group_time, span).tolist()
         place = np.empty_like(by_degree)
         place[by_degree] = np.arange(len(by_degree))
         k = np.arange(len(time)) - np.repeat(starts, degree)  # arc's rank at its node
         order = np.lexsort((np.repeat(place, degree), k, time))
         columns = nbr[order]
         time, k = time[order], k[order]
-        head[1:] = (time[1:] != time[:-1]) | (k[1:] != k[:-1])
-        runs = np.flatnonzero(head)
-        lengths = np.diff(np.append(runs, len(time))).tolist()
+        head[1:-1] = (time[1:] != time[:-1]) | (k[1:] != k[:-1])
+        bounds = np.flatnonzero(head)
+        runs = bounds[:-1]
+        lengths = (bounds[1:] - runs).tolist()
         run_at = np.searchsorted(time[runs], span).tolist()
         arc_at = np.searchsorted(time, span).tolist()
         for t in range(hi, lo - 1, -1):
@@ -237,21 +159,63 @@ def earliest_arrivals(
     the rows of its contact nodes, and an empty one costs nothing; the n^2
     work is the caller's reduction at each yielded instant. E is one array
     updated in place: reduce it before the next iteration. It holds n^2
-    int32 entries; centrality.metric_sweep refuses n > MAX_SWEEP_NODES.
+    int32 entries, so the pass refuses n > MAX_SWEEP_NODES before it starts.
     """
     n = tvg.num_nodes
+    if n > MAX_SWEEP_NODES:
+        raise ValueError(f"{n} nodes exceed the sweep limit of {MAX_SWEEP_NODES} nodes")
     arrival = np.full((n, n), NEVER, dtype=np.int32)
     diagonal = arrival.reshape(-1)[:: n + 1]
     for t, nodes, lengths, columns in _neighbour_columns(tvg, first, top):
         if len(nodes):
             # the diagonal is only kept at yields; the rows read here need E_{t+1}[w, w] = t
-            arrival[nodes, nodes] = t
-            rows = arrival[nodes]
+            diagonal[nodes] = t
+            rows = arrival.take(nodes, axis=0)
             at = 0
             for length in lengths:
-                np.minimum(rows[:length], arrival[columns[at : at + length]], out=rows[:length])
+                part = rows[:length]
+                np.minimum(part, arrival.take(columns[at : at + length], axis=0), out=part)
                 at += length
             arrival[nodes] = rows
         if t < last:
             diagonal[:] = t - 1
             yield t, arrival
+
+
+# spread_milestones with stop_count reads 1, 4, 16, ... snapshots per round.
+_GROWTH = 4
+
+
+def spread_milestones(
+    tvg: TVG, time: int, *, max_steps: int | None = None, stop_count: int | None = None
+) -> list[list[int]]:
+    """Milestones of all |V| diffusions starting at one instant.
+
+    Returns per start node u a milestone list m where m[k] is the first
+    step at which the diffusion from (u, time) had informed k+1 nodes
+    (m[0] == 0 always). Lists run until the snapshots run out or max_steps
+    is spent; with stop_count, only to the first step by which every start
+    has informed stop_count nodes, if there is one. They are the sorted
+    rows of a single-instant earliest_arrivals pass (arrival a is step
+    a - time + 1), read wider each round until stop_count is met.
+    """
+    if not 0 <= time < tvg.num_instants:
+        raise ValueError(f"time {time} out of range [0,{tvg.num_instants})")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    budget = min(tvg.num_instants - time, tvg.num_instants if max_steps is None else max_steps)
+    need = None if stop_count is None else max(stop_count, 1)
+    if need is not None and need > tvg.num_nodes:
+        need = None  # never met
+    span = budget if need is None else 1
+    while True:
+        span = min(span, budget)
+        # step s reads snapshot time - 1 + s; a zero budget still reads one
+        _, arrival = next(earliest_arrivals(tvg, time, time + 1, time - 1 + max(span, 1)))
+        if span == budget or np.all(np.count_nonzero(arrival != NEVER, axis=1) >= need):
+            break
+        span *= _GROWTH
+    steps = np.sort(arrival, axis=1).astype(np.int64) - (time - 1)
+    cut = budget if need is None else min(budget, int(steps[:, need - 1].max()))
+    counts = np.count_nonzero(steps <= cut, axis=1)
+    return [row[:k] for row, k in zip(steps.tolist(), counts.tolist())]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,14 +64,17 @@ def reference_spec(seed: int) -> ErTvgSpec:
     )
 
 
-@lru_cache(maxsize=8)
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays of the C(n, 2) pairs in lexicographic order."""
-    return np.triu_indices(n, 1)
+def _pair_ends(n: int, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (a, b) of the pairs at indices `hits` of the C(n, 2) pairs
+    in lexicographic order: row a starts at index a * (2n - a - 1) / 2."""
+    a = np.arange(n, dtype=np.int64)
+    start = a * (2 * n - a - 1) // 2
+    ends_a = np.searchsorted(start, hits, side="right") - 1
+    return ends_a, hits - start[ends_a] + ends_a + 1
 
 
 def _snapshot_hits(spec: ErTvgSpec, index: int) -> np.ndarray:
-    """Indices into _pair_table of the contacts of snapshot `index`."""
+    """Pair indices of the contacts of snapshot `index`."""
     n = spec.num_nodes
     if n < 2 or spec.edge_probability == 0:
         return np.zeros(0, dtype=np.intp)
@@ -85,16 +87,14 @@ def snapshot_pairs(spec: ErTvgSpec, index: int) -> list[tuple[int, int]]:
     """Contacts of snapshot `index`, drawn from its own seeded substream."""
     if not 0 <= index < spec.num_instants:
         raise ValueError(f"snapshot index {index} out of range")
-    hits = _snapshot_hits(spec, index)
-    idx_a, idx_b = _pair_table(spec.num_nodes)
-    return list(zip(idx_a[hits].tolist(), idx_b[hits].tolist()))
+    ends_a, ends_b = _pair_ends(spec.num_nodes, _snapshot_hits(spec, index))
+    return list(zip(ends_a.tolist(), ends_b.tolist()))
 
 
 def generate_er_tvg(spec: ErTvgSpec) -> TVG:
     """Generate the randomized TVG described by `spec`."""
     hits = [_snapshot_hits(spec, i) for i in range(spec.num_instants)]
     times = np.repeat(np.arange(spec.num_instants), [len(h) for h in hits])
-    idx_a, idx_b = _pair_table(spec.num_nodes)
-    pairs = np.concatenate(hits)
-    rows = np.column_stack((times, idx_a[pairs], idx_b[pairs]))
+    ends_a, ends_b = _pair_ends(spec.num_nodes, np.concatenate(hits))
+    rows = np.column_stack((times, ends_a, ends_b))
     return TVG(spec.num_nodes, spec.num_instants, rows)

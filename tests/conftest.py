@@ -36,7 +36,7 @@ def milestones_of(profile: list[set[int]]) -> list[int]:
 
 
 def assert_engines_match_oracle(tvg: TVG) -> int:
-    """Check both diffusion engines against the time-expanded oracle.
+    """Check the diffusion engine against the time-expanded oracle.
 
     earliest_arrivals runs once over the whole TVG; for every start u,
     instant t and budget s, {v : E[u, v] <= t - 1 + s} must equal the

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,19 +13,23 @@ from timecent import (
     CoverageThreshold,
     MetricSpec,
     MetricTable,
+    TVG,
+    TemporalNode,
     build_tvg,
     compare_topk_random,
     cover_time,
     default_eval_range,
     empirical_distribution,
+    expand,
     median,
     metric_sweep,
     rank_instants,
+    reach_profile,
+    spread_milestones,
     tcc,
 )
 from timecent import diffusion
 from timecent.centrality import (
-    _cover_time_detail,
     _ct_pass_top,
     comparison_summary,
     format_value,
@@ -44,6 +49,13 @@ def table_of(values, metric=None, unreached=None):
 def test_cover_time_micro_exact(chain4):
     thr = CoverageThreshold.of("0.5", 4)
     assert cover_time(chain4, 0, thr) == Fraction(7, 4)
+
+
+def test_cover_time_rejects_threshold_for_another_node_count(chain4):
+    for num_nodes in (100, 2):
+        with pytest.raises(ValueError, match="does not match"):
+            cover_time(chain4, 0, CoverageThreshold.of("0.5", num_nodes))
+    assert cover_time(chain4, 0, CoverageThreshold.of("0.5", 4)) == Fraction(7, 4)
 
 
 def test_cover_time_inf_when_any_start_fails(chain4):
@@ -89,23 +101,31 @@ def test_metric_sweep_ct_micro(chain4):
     assert table.unreached_starts == {0: 0, 1: 1, 2: 2}
 
 
-def _assert_sweeps_match_instants(tvg, first, last):
-    """metric_sweep over [first, last) equals the per-instant results for
-    every threshold r/n and every budget 1..N+1."""
+def _assert_sweeps_match_oracle(tvg, first, last):
+    """metric_sweep over [first, last) equals ct and tcc derived from the
+    oracle's reach profiles, for every threshold r/n and every budget 1..N+1."""
     n = tvg.num_nodes
+    g = expand(tvg)
+    # informed counts per instant, start and budget 0 .. N - t
+    counts = {
+        t_i: [[len(s) for s in reach_profile(g, TemporalNode(u, t_i))] for u in range(n)]
+        for t_i in range(first, last)
+    }
     for r in range(1, n + 1):
-        thr = CoverageThreshold.of(Fraction(r, n), n)
-        table = metric_sweep(tvg, MetricSpec.ct(thr.tau), (first, last))
+        table = metric_sweep(tvg, MetricSpec.ct(Fraction(r, n)), (first, last))
         assert table.eval_range == (first, last)
         assert table.times() == list(range(first, last))
-        for t_i in range(first, last):
-            value, unreached = _cover_time_detail(tvg, t_i, thr)
-            assert table.values[t_i] == value == cover_time(tvg, t_i, thr), (r, t_i)
+        for t_i, rows in counts.items():
+            cover = [next((s for s, c in enumerate(row) if c >= r), None) for row in rows]
+            unreached = cover.count(None)
+            value = INF if unreached else Fraction(sum(cover), n)
+            assert table.values[t_i] == value, (r, t_i)
             assert table.unreached_starts[t_i] == unreached, (r, t_i)
     for phi in range(1, tvg.num_instants + 2):
         table = metric_sweep(tvg, MetricSpec.tcc(phi), (first, last))
-        for t_i in range(first, last):
-            assert table.values[t_i] == tcc(tvg, t_i, phi), (phi, t_i)
+        for t_i, rows in counts.items():
+            value = Fraction(sum(row[min(phi, len(row) - 1)] for row in rows), n * n)
+            assert table.values[t_i] == value, (phi, t_i)
             assert table.unreached_starts[t_i] == 0
 
 
@@ -115,7 +135,7 @@ def test_metric_sweep_equals_per_instant_results_random():
         tvg = random_tvg(rng)
         first = rng.randrange(tvg.num_instants)
         last = rng.randint(first + 1, tvg.num_instants)
-        _assert_sweeps_match_instants(tvg, first, last)
+        _assert_sweeps_match_oracle(tvg, first, last)
     # ranges that end well before the last instant, where a ct pass stops
     # before the last snapshot when every start of the range's last instant
     # meets the threshold
@@ -124,7 +144,7 @@ def test_metric_sweep_equals_per_instant_results_random():
         tvg = random_tvg(rng, max_nodes=8, max_instants=36)
         last = rng.randint(1, max(1, tvg.num_instants // 3))
         first = rng.randrange(last)
-        _assert_sweeps_match_instants(tvg, first, last)
+        _assert_sweeps_match_oracle(tvg, first, last)
         tops = [_ct_pass_top(tvg, last, r) for r in range(2, tvg.num_nodes + 1)]
         early += any(top < tvg.num_instants - 1 for top in tops)
     assert early >= 10
@@ -134,7 +154,7 @@ def test_metric_sweep_equals_per_instant_results_degenerate():
     for tvg in (build_tvg(1, 4, []), build_tvg(5, 6, []), build_tvg(2, 1, [Contact(0, 1, 0)])):
         for first in range(tvg.num_instants):
             for last in range(first + 1, tvg.num_instants + 1):
-                _assert_sweeps_match_instants(tvg, first, last)
+                _assert_sweeps_match_oracle(tvg, first, last)
 
 
 def test_metric_sweep_tcc_bounds(chain4):
@@ -153,6 +173,27 @@ def test_metric_sweep_rejects_empty_node_set():
         tcc(empty, 0, 1)
     with pytest.raises(ValueError, match="no nodes"):
         cover_time(empty, 0, CoverageThreshold.of("0.5", 4))
+
+
+def test_metric_sweep_and_single_instant_metrics_refuse_nodes_over_the_cap():
+    # the pass holds an n x n matrix; every metric refuses before allocating it
+    tvg = TVG(diffusion.MAX_SWEEP_NODES + 1, 2, [(0, 0, 1)])
+    calls = (
+        lambda: metric_sweep(tvg, MetricSpec.tcc(1), (0, 2)),
+        lambda: metric_sweep(tvg, MetricSpec.ct("0.5"), (0, 1)),
+        lambda: tcc(tvg, 0, 1),
+        lambda: cover_time(tvg, 0, CoverageThreshold.of("0.5", tvg.num_nodes)),
+        lambda: spread_milestones(tvg, 0),
+    )
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match="8192"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_metric_sweep_range_validation(chain4):

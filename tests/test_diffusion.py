@@ -22,6 +22,7 @@ from timecent import (
     spread_milestones,
     tcc,
 )
+from timecent import diffusion
 from timecent.diffusion import earliest_arrivals
 from conftest import milestones_of, random_tvg
 
@@ -231,6 +232,41 @@ def test_milestones_stop_count_truncates_consistently():
                 assert stopped[u][stop - 1] == full[u][stop - 1]
             else:
                 assert len(stopped[u]) == len(full[u])
+
+
+def test_stop_count_widens_the_pass_until_every_start_is_there(monkeypatch):
+    """stop_count reads 1, 4, 16, ... snapshots until every start has informed
+    stop_count nodes; the lists are the oracle's, cut at the largest such step."""
+    passes = []
+    real = diffusion.earliest_arrivals
+
+    def counted(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(diffusion, "earliest_arrivals", counted)
+    rng = random.Random(606)
+    grown = short = 0
+    for _ in range(150):
+        tvg = random_tvg(rng, max_nodes=8, max_instants=40)
+        time = rng.randrange(tvg.num_instants)
+        n = tvg.num_nodes
+        stop = rng.randint(2, n)
+        g = expand(tvg)
+        full = [milestones_of(reach_profile(g, TemporalNode(u, time))) for u in range(n)]
+        passes.clear()
+        stopped = spread_milestones(tvg, time, stop_count=stop)
+        if all(len(m) >= stop for m in full):
+            cut = max(m[stop - 1] for m in full)
+            assert stopped == [[s for s in m if s <= cut] for m in full], (tvg, time, stop)
+            if cut > 4:  # past the first two spans, 1 and 4 snapshots
+                assert len(passes) >= 3
+                grown += 1
+        else:
+            assert stopped == full, (tvg, time, stop)
+            short += 1
+    assert grown >= 10
+    assert short >= 10
 
 
 def test_milestones_max_steps_truncates_consistently():

@@ -80,7 +80,7 @@ def test_diffusion_matches_oracle_small_batch():
 
 
 def test_arrivals_match_oracle_reach():
-    # budgets past the last snapshot included: both engines then hold the full reach
+    # budgets past the last snapshot included: the pass and the lists then hold the full reach
     rng = random.Random(411)
     for _ in range(40):
         tvg = random_tvg(rng)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -87,3 +89,25 @@ def test_contact_pairs_are_canonical():
     for snap in tvg.snapshots:
         for a, b in snap.contact_list:
             assert 0 <= a < b < 12
+
+
+def test_pair_indices_map_to_lexicographic_pairs():
+    # with p = 1 every pair index is hit, in order
+    for n in range(1, 41):
+        assert snapshot_pairs(ErTvgSpec(n, 1, 1.0, 1), 0) == list(itertools.combinations(range(n), 2))
+
+
+def test_generate_holds_no_pair_table():
+    # one snapshot of 4096 nodes draws C(4096, 2) doubles, 64 MiB; the pairs
+    # hit are mapped to their endpoints without a table of all C(n, 2) pairs
+    generate_er_tvg(ErTvgSpec(8, 1, 0.5, 1))  # numpy's first-use allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tvg = generate_er_tvg(ErTvgSpec(4096, 1, 1e-7, 1))
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tvg.num_nodes == 4096
+    assert peak - before < 96 * 2**20
+    assert after - before < 2**20
