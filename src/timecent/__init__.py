@@ -4,102 +4,74 @@ Builds snapshot-sequence TVGs from contact logs or randomized generators,
 runs flooding diffusions over them, and ranks time instants by the two
 time-centrality metrics cover time and time-constrained coverage. A
 time-expanded digraph oracle backs the test suite.
+
+Each public name is imported from its home module on first use, so
+`import timecent` alone imports no numpy.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .centrality import (
-    INF,
-    ComparisonReport,
-    Distribution,
-    MetricSpec,
-    MetricTable,
-    compare_topk_random,
-    cover_time,
-    default_eval_range,
-    empirical_distribution,
-    median,
-    metric_sweep,
-    rank_instants,
-    tcc,
-)
-from .diffusion import CoverageThreshold, spread_milestones
-from .ingest import (
-    ContactLogError,
-    ContactRecord,
-    IngestConfig,
-    IngestStats,
-    discretize,
-    discretize_with_stats,
-    parse_contacts,
-)
-from .oracle import ExpandedDigraph, expand, oracle_reach, reach_profile
-from .synth import ErTvgSpec, generate_er_tvg, reference_spec, snapshot_pairs
-from .tvg import (
-    MAX_INSTANTS,
-    TVG,
-    Contact,
-    Snapshot,
-    TemporalNode,
-    TvgFormatError,
-    build_tvg,
-    churn_rate,
-    format_tvg,
-    load_tvg,
-    parse_tvg,
-    save_tvg,
-)
-
-__all__ = [
-    "__version__",
+# public name -> home module, in __all__ order
+_HOMES = {
     # model
-    "MAX_INSTANTS",
-    "TVG",
-    "Snapshot",
-    "Contact",
-    "TemporalNode",
-    "TvgFormatError",
-    "build_tvg",
-    "churn_rate",
-    "format_tvg",
-    "parse_tvg",
-    "save_tvg",
-    "load_tvg",
+    "MAX_INSTANTS": "tvg",
+    "TVG": "tvg",
+    "Snapshot": "tvg",
+    "Contact": "tvg",
+    "TemporalNode": "tvg",
+    "TvgFormatError": "tvg",
+    "build_tvg": "tvg",
+    "churn_rate": "tvg",
+    "format_tvg": "tvg",
+    "parse_tvg": "tvg",
+    "save_tvg": "tvg",
+    "load_tvg": "tvg",
     # ingestion
-    "ContactRecord",
-    "IngestConfig",
-    "IngestStats",
-    "ContactLogError",
-    "parse_contacts",
-    "discretize",
-    "discretize_with_stats",
+    "ContactRecord": "ingest",
+    "IngestConfig": "ingest",
+    "IngestStats": "ingest",
+    "ContactLogError": "ingest",
+    "parse_contacts": "ingest",
+    "discretize": "ingest",
+    "discretize_with_stats": "ingest",
     # generation
-    "ErTvgSpec",
-    "generate_er_tvg",
-    "reference_spec",
-    "snapshot_pairs",
+    "ErTvgSpec": "synth",
+    "generate_er_tvg": "synth",
+    "reference_spec": "synth",
+    "snapshot_pairs": "synth",
     # diffusion
-    "CoverageThreshold",
-    "spread_milestones",
-    # centrality
-    "INF",
-    "MetricSpec",
-    "MetricTable",
-    "Distribution",
-    "ComparisonReport",
-    "cover_time",
-    "tcc",
-    "metric_sweep",
-    "default_eval_range",
-    "rank_instants",
-    "empirical_distribution",
-    "compare_topk_random",
-    "median",
+    "CoverageThreshold": "diffusion",
+    "spread_milestones": "diffusion",
+    # centrality and its tables
+    "INF": "tables",
+    "MetricSpec": "centrality",
+    "MetricTable": "tables",
+    "Distribution": "tables",
+    "ComparisonReport": "tables",
+    "cover_time": "centrality",
+    "tcc": "centrality",
+    "metric_sweep": "centrality",
+    "default_eval_range": "centrality",
+    "rank_instants": "tables",
+    "empirical_distribution": "tables",
+    "compare_topk_random": "centrality",
+    "median": "tables",
     # oracle
-    "ExpandedDigraph",
-    "expand",
-    "oracle_reach",
-    "reach_profile",
-]
+    "ExpandedDigraph": "oracle",
+    "expand": "oracle",
+    "oracle_reach": "oracle",
+    "reach_profile": "oracle",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return globals().setdefault(name, value)

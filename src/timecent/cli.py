@@ -11,27 +11,44 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import IO, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .centrality import (
-    MetricSpec,
+from .tables import (
     MetricTable,
     comparison_summary,
-    compare_topk_random,
-    default_eval_range,
     empirical_distribution,
-    metric_sweep,
+    format_value,
     rank_instants,
     read_table_csv,
-    format_value,
     write_comparison_csv,
     write_distribution_csv,
+    write_ranking_csv,
     write_table_csv,
 )
-from .ingest import IngestConfig, discretize_with_stats, parse_contacts
-from .synth import ErTvgSpec, generate_er_tvg, reference_spec
-from .tvg import TVG, churn_rate, load_tvg, save_tvg
+
+if TYPE_CHECKING:
+    from .tvg import TVG
+
+# The numpy-backed names the handlers call, by home module. __getattr__
+# binds one here on first access from outside (PEP 562), and main() binds
+# those of its command's modules before running it. A name already bound
+# is never replaced, so a caller may substitute any of them.
+_ENGINE = {
+    "tvg": ("churn_rate", "load_tvg", "save_tvg"),
+    "synth": ("ErTvgSpec", "generate_er_tvg", "reference_spec"),
+    "ingest": ("IngestConfig", "discretize_with_stats", "parse_contacts"),
+    "centrality": ("MetricSpec", "compare_topk_random", "default_eval_range", "metric_sweep"),
+}
+
+
+def __getattr__(name: str) -> object:
+    for module, names in _ENGINE.items():
+        if name in names:
+            value = getattr(import_module(f".{module}", __package__), name)
+            return globals().setdefault(name, value)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -265,13 +282,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     with open(args.table, "r", encoding="utf-8") as fh:
         table = read_table_csv(fh)
     ranked = rank_instants(table, args.k, higher_is_better=(args.metric == "tcc"))
-
-    def write(fh: IO[str]) -> None:
-        fh.write("rank,time_index,value\n")
-        for pos, (t_i, value) in enumerate(ranked, start=1):
-            fh.write(f"{pos},{t_i},{format_value(value)}\n")
-
-    _write_text(args.out, write)
+    _write_text(args.out, lambda fh: write_ranking_csv(ranked, fh))
     print(f"wrote {args.out}: {len(ranked)} rows")
     return 0
 
@@ -295,15 +306,16 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     return 0
 
 
+# each command's handler and the engine modules it uses
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "ingest": _cmd_ingest,
-    "ct": _cmd_sweep,
-    "tcc": _cmd_sweep,
-    "dist": _cmd_dist,
-    "rank": _cmd_rank,
-    "compare": _cmd_compare,
-    "churn": _cmd_churn,
+    "generate": (_cmd_generate, ("synth", "tvg")),
+    "ingest": (_cmd_ingest, ("ingest", "tvg")),
+    "ct": (_cmd_sweep, ("centrality", "tvg")),
+    "tcc": (_cmd_sweep, ("centrality", "tvg")),
+    "dist": (_cmd_dist, ()),
+    "rank": (_cmd_rank, ()),
+    "compare": (_cmd_compare, ("centrality", "tvg")),
+    "churn": (_cmd_churn, ("tvg",)),
 }
 
 
@@ -311,7 +323,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        handler, modules = _COMMANDS[args.command]
+        for module in modules:
+            for name in _ENGINE[module]:
+                __getattr__(name)
+        return handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

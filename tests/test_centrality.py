@@ -29,8 +29,8 @@ from timecent import (
     tcc,
 )
 from timecent import diffusion
-from timecent.centrality import (
-    _ct_pass_top,
+from timecent.centrality import _ct_pass_top
+from timecent.tables import (
     comparison_summary,
     format_value,
     read_table_csv,
@@ -404,6 +404,33 @@ def test_table_csv_rejects_garbage():
         read_table_csv(io.StringIO("time_index,value,unreached_starts\n1,2\n"))
     with pytest.raises(ValueError):
         read_table_csv(io.StringIO("time_index,value,unreached_starts\n"))
+
+
+HEADER = "time_index,value,unreached_starts\n"
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("0,2.0,0", "repeated time_index 0"),
+        ("1,nan,0", "value 'nan' is neither >= 0 nor inf"),
+        ("1,-inf,0", "value '-inf' is neither >= 0 nor inf"),
+        ("1,2.0,-1", "negative unreached_starts -1"),
+    ],
+    ids=["repeated-time", "nan", "minus-inf", "negative-unreached"],
+)
+def test_table_csv_rejects_rows_no_sweep_writes(row, problem):
+    with pytest.raises(ValueError) as exc:
+        read_table_csv(io.StringIO(f"{HEADER}0,1.5,0\n{row}\n2,inf,1\n"))
+    assert str(exc.value) == f"line 3: {problem}"
+
+
+def test_table_header_is_the_first_non_blank_line():
+    table = read_table_csv(io.StringIO(f"\n  \n{HEADER}0,1.5,0\n\n1,inf,2\n"))
+    assert table.values == {0: 1.5, 1: INF}
+    assert table.unreached_starts == {0: 0, 1: 2}
+    with pytest.raises(ValueError, match="unexpected table header: '0,1.5,0'"):
+        read_table_csv(io.StringIO("\n0,1.5,0\n"))
 
 
 def test_distribution_csv_format():

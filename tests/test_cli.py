@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import resource
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import timecent
+import timecent.cli as cli
 from timecent.cli import main
 
 
@@ -149,13 +152,16 @@ def _limited_to_1_gib() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-def run_limited(tmp_path, *argv):
-    """`timecent argv` in a child process whose address space is capped at 1 GiB."""
+def child_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def run_limited(tmp_path, *argv):
+    """`timecent argv` in a child process whose address space is capped at 1 GiB."""
     return subprocess.run(
-        [sys.executable, "-m", "timecent.cli", *argv], cwd=tmp_path, env=env,
+        [sys.executable, "-m", "timecent.cli", *argv], cwd=tmp_path, env=child_env(),
         capture_output=True, text=True, preexec_fn=_limited_to_1_gib, timeout=120,
     )
 
@@ -284,3 +290,107 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_dist_and_rank_refuse_rows_no_sweep_writes(tmp_path, capsys):
+    for row in ("0,2.0,0", "1,nan,0", "1,-inf,0", "1,2.0,-1"):
+        table = tmp_path / "bad.csv"
+        table.write_text(f"time_index,value,unreached_starts\n0,1.5,0\n{row}\n")
+        for argv in (("dist",), ("rank", "--metric", "ct", "--k", "1")):
+            code, _, err = run(capsys, argv[0], str(table), *argv[1:],
+                               "--out", str(tmp_path / "out.csv"))
+            assert code == 2, (row, argv)
+            assert err.startswith("data error: line 3: "), err
+    assert not (tmp_path / "out.csv").exists()
+
+
+# timecent.cli.main in a child process where any import of numpy fails
+NO_NUMPY_MAIN = """
+import sys
+sys.modules["numpy"] = None
+from timecent.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_table_commands_run_without_numpy(small_tvg_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (("ct", "--tau", "0.2"), ("tcc", "--phi", "10")):
+        code, _, _ = run(capsys, argv[0], str(small_tvg_path), *argv[1:], "--range", "0:40",
+                         "--out", f"{argv[0]}.csv")
+        assert code == 0
+    for argv in (
+        ("dist", "ct.csv", "--kind", "cdf", "--out", "out.csv"),
+        ("dist", "tcc.csv", "--kind", "ccdf", "--out", "out.csv"),
+        ("rank", "tcc.csv", "--metric", "tcc", "--k", "5", "--out", "out.csv"),
+        ("rank", "ct.csv", "--metric", "ct", "--k", "5", "--out", "out.csv"),
+        ("--version",),
+        ("--help",),
+    ):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse exits after --version and --help
+            code = exc.code
+        stdout = capsys.readouterr().out
+        written = Path("out.csv").read_bytes() if "--out" in argv else None
+        Path("out.csv").unlink(missing_ok=True)
+        child = subprocess.run([sys.executable, "-c", NO_NUMPY_MAIN, *argv], cwd=tmp_path,
+                               env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stderr) == (code, ""), argv
+        assert child.stdout == stdout, argv
+        if written is not None:
+            assert Path("out.csv").read_bytes() == written, argv
+
+
+def test_package_import_loads_no_numpy():
+    check = "import sys, timecent; assert 'numpy' not in sys.modules, 'numpy was imported'"
+    child = subprocess.run([sys.executable, "-c", check], env=child_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+
+
+def test_public_names_resolve_to_their_home_modules():
+    for name in timecent.__all__[1:]:
+        home = importlib.import_module(f"timecent.{timecent._HOMES[name]}")
+        value = getattr(timecent, name)
+        assert value is getattr(home, name), name
+        if hasattr(value, "__qualname__"):  # a class or function is defined where it lives
+            assert value.__module__ == home.__name__, name
+    namespace: dict[str, object] = {}
+    exec("from timecent import *", namespace)
+    assert all(namespace[name] is getattr(timecent, name) for name in timecent.__all__)
+
+
+# the names of timecent.cli that the benchmark's traced pass reads and rebinds
+TRACE_HOOKS = (
+    "load_tvg", "churn_rate", "compare_topk_random", "empirical_distribution", "rank_instants",
+    "read_table_csv", "write_table_csv", "write_distribution_csv", "write_comparison_csv",
+    "generate_er_tvg", "parse_contacts", "discretize_with_stats", "metric_sweep",
+)
+
+
+def test_trace_hooks_resolve_before_any_command():
+    check = "import sys, timecent.cli as cli\nfor name in sys.argv[1:]: getattr(cli, name)"
+    child = subprocess.run([sys.executable, "-c", check, *TRACE_HOOKS], env=child_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+
+
+def test_commands_call_what_is_bound_on_the_cli_module(small_tvg_path, tmp_path, capsys,
+                                                       monkeypatch):
+    table = tmp_path / "tcc.csv"
+    assert run(capsys, "tcc", str(small_tvg_path), "--phi", "3", "--out", str(table))[0] == 0
+    churn = ("churn", str(small_tvg_path))
+    rank = ("rank", str(table), "--metric", "tcc", "--k", "3", "--out", str(tmp_path / "r.csv"))
+    for name, argv in (("load_tvg", churn), ("churn_rate", churn),
+                       ("read_table_csv", rank), ("rank_instants", rank)):
+        calls = []
+
+        def counting(*args, real=getattr(cli, name), **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, counting)
+            assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, name
