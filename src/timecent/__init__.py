@@ -31,7 +31,7 @@ _HOMES = {
     "save_tvg": "tvg",
     "load_tvg": "tvg",
     # ingestion
-    "ContactRecord": "ingest",
+    "ContactColumns": "ingest",
     "IngestConfig": "ingest",
     "IngestStats": "ingest",
     "ContactLogError": "ingest",

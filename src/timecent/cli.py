@@ -200,7 +200,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             "out": args.out,
         },
     )
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8-sig") as fh:  # spreadsheets write a BOM
         tvg, stats = discretize_with_stats(parse_contacts(fh), cfg)
     save_tvg(tvg, args.out)
     print(

@@ -5,16 +5,21 @@ CRLF), with one optional header line recognized by a first field equal to
 "timestamp". Timestamps are integer seconds. Discretization assigns a
 record with timestamp s to snapshot floor((s - start) / granularity);
 bins are left-closed, so a boundary timestamp belongs to the later bin.
+
+Both steps run on whole columns: `parse_contacts` splits the text once and
+returns a `ContactColumns`. A line scan runs only when a column check
+fails, to name the first bad line (or to skip blank lines).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from itertools import chain, compress, repeat
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .tvg import TVG, check_instants
+from .tvg import TVG, _integers, check_instants
 
 
 class ContactLogError(ValueError):
@@ -25,13 +30,12 @@ class ContactLogError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class ContactRecord:
-    """One observed contact between two labelled nodes."""
+class ContactColumns(NamedTuple):
+    """Contact records as columns, in input order."""
 
-    timestamp: int
-    label_a: str
-    label_b: str
+    timestamps: np.ndarray  # int64, or Python ints if one is past int64
+    label_a: list[str]
+    label_b: list[str]
 
 
 @dataclass(frozen=True)
@@ -69,52 +73,80 @@ class IngestStats:
     labels: list[str] = field(default_factory=list)
 
 
-def parse_contacts(src: IO[str] | Iterable[str]) -> Iterator[ContactRecord]:
-    """Parse contact records from CSV lines, in input order.
+def parse_contacts(src: IO[str] | Iterable[str]) -> ContactColumns:
+    """Parse contact records from CSV lines into columns, in input order.
 
     Labels are preserved verbatim (surrounding whitespace stripped).
     Raises ContactLogError with the line number on malformed lines,
-    non-integer timestamps or self-contacts.
+    non-integer timestamps, empty labels or self-contacts.
     """
-    for lineno, raw in enumerate(src, start=1):
-        line = raw.rstrip("\r\n")
+    lines = [raw.rstrip("\r\n") for raw in src]
+    body = lines[1:] if lines and _is_header(lines[0]) else lines
+    try:
+        if not set(map(str.count, body, repeat(","))) <= {2}:
+            raise ValueError("a blank or malformed line")
+        fields = ",".join(body).split(",")
+        timestamps = _integers(fields[0::3])
+        label_a = list(map(str.strip, fields[1::3]))
+        label_b = list(map(str.strip, fields[2::3]))
+        if "" in label_a or "" in label_b or any(map(str.__eq__, label_a, label_b)):
+            raise ValueError("an empty label or a self-contact")
+    except ValueError:
+        return _scan_contacts(lines)
+    return ContactColumns(timestamps, label_a, label_b)
+
+
+def _is_header(line: str) -> bool:
+    return line.split(",")[0].strip().lower() == "timestamp"
+
+
+def _scan_contacts(lines: list[str]) -> ContactColumns:
+    """parse_contacts line by line: skips blank lines and raises at the
+    first bad one."""
+    timestamps: list[int] = []
+    label_a: list[str] = []
+    label_b: list[str] = []
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split(",")
-        if lineno == 1 and parts and parts[0].strip().lower() == "timestamp":
+        if lineno == 1 and _is_header(line):
             continue
         if len(parts) != 3:
             raise ContactLogError(lineno, "expected 'timestamp,label_a,label_b'")
-        ts_text, label_a, label_b = (p.strip() for p in parts)
+        ts_text, a, b = (p.strip() for p in parts)
         try:
-            timestamp = int(ts_text)
+            timestamps.append(int(ts_text))
         except ValueError:
             raise ContactLogError(lineno, f"non-integer timestamp {ts_text!r}") from None
-        if not label_a or not label_b:
+        if not a or not b:
             raise ContactLogError(lineno, "empty node label")
-        if label_a == label_b:
-            raise ContactLogError(lineno, f"self-contact on label {label_a!r}")
-        yield ContactRecord(timestamp, label_a, label_b)
+        if a == b:
+            raise ContactLogError(lineno, f"self-contact on label {a!r}")
+        label_a.append(a)
+        label_b.append(b)
+    return ContactColumns(_integers(timestamps), label_a, label_b)
 
 
 def discretize_with_stats(
-    records: Iterable[ContactRecord], cfg: IngestConfig = IngestConfig()
+    columns: ContactColumns, cfg: IngestConfig = IngestConfig()
 ) -> tuple[TVG, IngestStats]:
-    """Discretize records into a TVG and report ingestion counters.
+    """Discretize contact columns into a TVG and report ingestion counters.
 
-    Node labels get dense ids in first-appearance order. Records outside
-    [start, end] are rejected and counted, not raised. Duplicate contacts
-    within a bin collapse to one.
+    Node labels get dense ids in first-appearance order (a before b) among
+    the accepted records. Records outside [start, end] are rejected and
+    counted, not raised. Duplicate contacts within a bin collapse to one.
     """
-    items = list(records)
-    if not items and (cfg.start_timestamp is None or cfg.end_timestamp is None):
+    timestamps, label_a, label_b = columns
+    timestamps = _integers(timestamps)
+    if not len(timestamps) and (cfg.start_timestamp is None or cfg.end_timestamp is None):
         raise ValueError("empty record stream needs explicit start and end timestamps")
     start = cfg.start_timestamp
     if start is None:
-        start = min(r.timestamp for r in items)
+        start = int(timestamps.min())
     end = cfg.end_timestamp
     if end is None:
-        end = max(r.timestamp for r in items)
+        end = int(timestamps.max())
     if end < start:
         raise ValueError("end_timestamp must not precede start_timestamp")
     granularity = cfg.granularity_seconds
@@ -123,34 +155,28 @@ def discretize_with_stats(
         check_instants(num_instants)
     except ValueError as exc:
         raise ValueError(f"timestamps {start} to {end} in {granularity} s bins: {exc}") from None
-    flat: list[int] = []  # time, a, b of each accepted record
-    ids: dict[str, int] = {}
-    rejected = 0
-    for rec in items:
-        if not start <= rec.timestamp <= end:
-            rejected += 1
-            continue
-        a = ids.setdefault(rec.label_a, len(ids))
-        b = ids.setdefault(rec.label_b, len(ids))
-        flat += ((rec.timestamp - start) // granularity, a, b)
-    rows = np.array(flat, dtype=np.int64).reshape(-1, 3)
+    if max(-start, end, end - start) >= 1 << 63:
+        timestamps = timestamps.astype(object)  # the window needs Python ints
+    accepted = (timestamps >= start) & (timestamps <= end)
+    # the labels of the accepted records, interleaved a, b
+    labels = list(chain.from_iterable(compress(zip(label_a, label_b), accepted.tolist())))
+    ids = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    rows = np.empty((len(labels) // 2, 3), dtype=np.int64)
+    rows[:, 0] = (timestamps[accepted] - start) // granularity
+    rows[:, 1:] = np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels)).reshape(-1, 2)
     rows[:, 1:].sort(axis=1)
-    labels = {i: label for label, i in ids.items()}
-    tvg = TVG(len(ids), num_instants, rows, labels or None)
+    tvg = TVG(len(ids), num_instants, rows, dict(enumerate(ids)) or None)
     stats = IngestStats(
-        records_read=len(items),
-        records_rejected=rejected,
+        records_read=len(timestamps),
+        records_rejected=len(timestamps) - len(rows),
         start_timestamp=start,
         end_timestamp=end,
-        labels=[label for label, _ in sorted(ids.items(), key=lambda kv: kv[1])],
+        labels=list(ids),
     )
     return tvg, stats
 
 
-def discretize(
-    records: Iterable[ContactRecord], cfg: IngestConfig = IngestConfig()
-) -> TVG:
-    """Discretize records into a TVG (see discretize_with_stats)."""
-    tvg, _ = discretize_with_stats(records, cfg)
+def discretize(columns: ContactColumns, cfg: IngestConfig = IngestConfig()) -> TVG:
+    """Discretize contact columns into a TVG (see discretize_with_stats)."""
+    tvg, _ = discretize_with_stats(columns, cfg)
     return tvg
-

@@ -22,10 +22,18 @@ Serialized form ("tvg v1"), byte-deterministic for a given TVG:
 
 with a < b on every contact line, lines sorted by (time, a, b), LF line
 endings and a trailing newline. Node labels are not part of the format.
+
+The parser reads any order and skips blank lines. A contact line is three
+fields separated by whitespace: any run of the characters str.split()
+splits on, other than a line end (format_tvg writes one space). Each field
+is an ASCII integer, [+-]?[0-9]+. numpy's loadtxt reads exactly this
+grammar; a line scan that applies it names the first bad line.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -89,11 +97,12 @@ def check_instants(num_instants: int) -> None:
 
 
 def _integers(values) -> np.ndarray:
-    """values as an int64 array, or as Python ints if one overflows int64."""
+    """values (ints, or strings that int() reads) as an int64 array, or as
+    Python ints if one overflows int64."""
     try:
         return np.asarray(values, dtype=np.int64)
-    except OverflowError:  # such a field is out of range; the checks still find it
-        return np.asarray(values, dtype=object)
+    except OverflowError:  # such a value is out of range; the checks still find it
+        return np.frompyfunc(int, 1, 1)(np.asarray(values, dtype=object))
 
 
 def _first_invalid(rows: np.ndarray, num_nodes: int, num_instants: int) -> tuple[int, str] | None:
@@ -109,6 +118,13 @@ def _first_invalid(rows: np.ndarray, num_nodes: int, num_instants: int) -> tuple
     if not (0 <= a < num_nodes and 0 <= b < num_nodes):
         return i, f"node out of range: contact ({a},{b}) at time {t}, node range [0,{num_nodes})"
     return i, f"contact ({a},{b}) at time {t} must satisfy a < b"
+
+
+def _steps(edges: np.ndarray) -> np.ndarray:
+    """Sign of each row's (time, a, b) step up from the row before (the first
+    row steps up); 0 marks a repeated row."""
+    d = np.diff(edges, axis=0, prepend=-1)
+    return np.sign(d, out=d) @ np.array([4, 2, 1])  # the first nonzero sign decides
 
 
 class Snapshot:
@@ -177,8 +193,11 @@ class TVG:
         if invalid is not None:
             raise ValueError(invalid[1])
         edges = rows.astype(np.int32)  # in range: checked above
-        edges = edges[np.lexsort(edges.T[::-1])]
-        edges = edges[np.diff(edges, axis=0, prepend=-1).any(axis=1)]  # drop duplicates
+        step = _steps(edges)
+        if (step < 0).any():  # out of order; a loaded file never is
+            edges = edges[np.lexsort(edges.T[::-1])]
+            step = _steps(edges)
+        edges = edges[step > 0]  # drop duplicates
         # offsets[t]: contacts before instant t, summed in place
         offsets = np.bincount(edges[:, 0] + 1, minlength=num_instants + 1)
         np.cumsum(offsets, out=offsets)
@@ -299,10 +318,15 @@ def save_tvg(tvg: TVG, path: str) -> None:
 def parse_tvg(lines: Iterable[str]) -> TVG:
     """Parse the tvg v1 text form; raises TvgFormatError on bad input.
 
-    One loop turns the lines into a flat list of integers; the range
-    checks then run on whole arrays. The error names the first bad line,
-    as a line-by-line check would.
+    numpy's loadtxt reads the body after the header. If it fails, or a row
+    is out of range, a line scan finds the first bad line and names it.
     """
+    try:  # where the scan reads a stream again from
+        start = lines.tell() if lines.seekable() else None
+    except (AttributeError, OSError):
+        start = None
+    if start is None and iter(lines) is lines:
+        lines = list(lines)  # a one-shot iterator: keep its lines for the scan
     it = iter(lines)
     try:
         header = next(it)
@@ -318,31 +342,48 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
         check_instants(num_instants)
     except ValueError as exc:
         raise TvgFormatError(f"bad header counts: {header.strip()!r} ({exc})") from None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.5" as an integer with a DeprecationWarning,
+            # and an empty body warns; both go to the scan
+            warnings.simplefilter("error")
+            rows = np.loadtxt(it, dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, OverflowError, Warning):
+        rows = None
+    if rows is None or rows.shape[1] != 3 or _first_invalid(rows, num_nodes, num_instants):
+        if start is not None:
+            lines.seek(start)
+        it = iter(lines)
+        next(it)
+        rows = _scan_rows(it, num_nodes, num_instants)
+    return TVG(num_nodes, num_instants, rows)
+
+
+def _scan_rows(body: Iterable[str], num_nodes: int, num_instants: int) -> np.ndarray:
+    """The rows of a tvg v1 body, read line by line with the module doc's
+    grammar; TvgFormatError names the first bad line."""
+    is_field = re.compile(r"[+-]?[0-9]+").fullmatch
     values: list[int] = []
     blanks: list[int] = []  # records read before each blank line
     malformed = None  # what is wrong with the line after the last record read
-    try:
-        for line in it:
-            parts = line.split()
-            if len(parts) == 3:
-                t, a, b = parts
-                values += (int(t), int(a), int(b))
-            elif parts:
-                malformed = "expected '<time> <a> <b>'"
-                break
-            else:
-                blanks.append(len(values) // 3)
-    except ValueError:
-        malformed = "non-integer field"
+    for line in body:
+        parts = line.split()
+        if len(parts) == 3 and all(map(is_field, parts)):
+            values += map(int, parts)
+        elif parts:
+            malformed = "non-integer field" if len(parts) == 3 else "expected '<time> <a> <b>'"
+            break
+        else:
+            blanks.append(len(values) // 3)
     rows = _integers(values).reshape(-1, 3)
-    del values  # the int objects outweigh the array; free them before sorting
+    del values  # the int objects outweigh the array
     invalid = _first_invalid(rows, num_nodes, num_instants)
     if invalid is None and malformed is not None:
         invalid = (len(rows), malformed)
     if invalid is not None:
         index, message = invalid
         raise TvgFormatError(f"line {index + 2 + bisect_right(blanks, index)}: {message}")
-    return TVG(num_nodes, num_instants, rows)
+    return rows
 
 
 def load_tvg(path: str) -> TVG:

@@ -15,7 +15,6 @@ import pytest
 
 from timecent import (
     INF,
-    ContactRecord,
     CoverageThreshold,
     IngestConfig,
     MetricSpec,
@@ -28,6 +27,7 @@ from timecent import (
     load_tvg,
     median,
     metric_sweep,
+    parse_contacts,
     parse_tvg,
     reference_spec,
     save_tvg,
@@ -285,9 +285,9 @@ def test_criterion_7_ingestion_validation(tmp_path):
     records = []
     for _ in range(400):
         a, b = rng.sample(labels, 2)
-        records.append(ContactRecord(rng.randint(0, 3000), a, b))
+        records.append((rng.randint(0, 3000), a, b))
     cfg = IngestConfig(30, 0, 3000)
-    tvg, stats = discretize_with_stats(records, cfg)
+    tvg, stats = discretize_with_stats(parse_contacts(f"{t},{a},{b}" for t, a, b in records), cfg)
     assert stats.records_rejected == 0
 
     # serialization round trip
@@ -298,10 +298,7 @@ def test_criterion_7_ingestion_validation(tmp_path):
 
     # relabeling invariance: per-snapshot counts and metric values
     mapping = dict(zip(labels, rng.sample(labels, len(labels))))
-    relabeled = [
-        ContactRecord(r.timestamp, mapping[r.label_a], mapping[r.label_b])
-        for r in records
-    ]
+    relabeled = parse_contacts(f"{t},{mapping[a]},{mapping[b]}" for t, a, b in records)
     other, _ = discretize_with_stats(relabeled, cfg)
     invariant_ok = [len(s) for s in tvg.snapshots] == [len(s) for s in other.snapshots]
     thr = CoverageThreshold.of("0.5", tvg.num_nodes)

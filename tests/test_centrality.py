@@ -164,9 +164,9 @@ def test_metric_sweep_tcc_bounds(chain4):
 
 
 def test_metric_sweep_rejects_empty_node_set():
-    from timecent import discretize, IngestConfig
+    from timecent import discretize, IngestConfig, parse_contacts
 
-    empty = discretize([], IngestConfig(30, 0, 59))
+    empty = discretize(parse_contacts([]), IngestConfig(30, 0, 59))
     with pytest.raises(ValueError, match="no nodes"):
         metric_sweep(empty, MetricSpec.tcc(1), (0, 2))
     with pytest.raises(ValueError, match="no nodes"):

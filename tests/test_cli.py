@@ -110,6 +110,18 @@ def test_ingest_reports_rejections(tmp_path, capsys):
     assert "rejected 1 of 2" in stdout
 
 
+def test_ingest_reads_a_byte_order_mark(tmp_path, capsys):
+    text = "timestamp,label_a,label_b\r\n0,ann,bea\r\n45,bea,cal\r\n"
+    outs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / f"{name}.csv").write_bytes(data)
+        out = tmp_path / f"{name}.tvg"
+        code, _, err = run(capsys, "ingest", str(tmp_path / f"{name}.csv"), "--out", str(out))
+        assert code == 0, err
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == b"tvg v1 3 2\n0 0 1\n1 1 2\n"
+
+
 def test_ct_sweep_row_count(small_tvg_path, tmp_path, capsys):
     out = tmp_path / "ct.csv"
     code, stdout, _ = run(capsys, "ct", str(small_tvg_path), "--tau", "0.2",

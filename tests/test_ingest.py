@@ -3,11 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from timecent import (
+    ContactColumns,
     ContactLogError,
-    ContactRecord,
     CoverageThreshold,
     IngestConfig,
     cover_time,
@@ -18,19 +19,38 @@ from timecent import (
 )
 
 TWO_WEEKS = 14 * 24 * 3600  # seconds
+INT64_PAST = 2**63  # one past the largest int64
 
 
-def records(text: str):
-    return list(parse_contacts(text.splitlines(keepends=True)))
+def records(text: str) -> ContactColumns:
+    return parse_contacts(text.splitlines(keepends=True))
+
+
+def rows(columns: ContactColumns) -> list[tuple[int, str, str]]:
+    return list(zip(columns.timestamps.tolist(), columns.label_a, columns.label_b))
+
+
+def log(recs) -> ContactColumns:
+    """Columns of (timestamp, label_a, label_b) records, through the parser."""
+    return parse_contacts(f"{t},{a},{b}" for t, a, b in recs)
 
 
 def test_parse_direct():
-    assert records("0,alice,bob\n") == [ContactRecord(0, "alice", "bob")]
+    got = records("0,alice,bob\n")
+    assert isinstance(got, ContactColumns)
+    assert got.timestamps.dtype == np.int64
+    assert rows(got) == [(0, "alice", "bob")]
+    assert rows(records("")) == []
 
 
 def test_parse_preserves_order_and_labels():
-    got = records("0,alice,bob\n30,bob,alice\n")
-    assert got == [ContactRecord(0, "alice", "bob"), ContactRecord(30, "bob", "alice")]
+    for text, expected in (
+        ("0,alice,bob\n30,bob,alice\n", [(0, "alice", "bob"), (30, "bob", "alice")]),
+        # whitespace around fields is stripped, whitespace inside a label is kept
+        (" 0 , alice ,\tbob \n+7,x y,z\u2028\n", [(0, "alice", "bob"), (7, "x y", "z")]),
+        ("5,a\x0cb,c\n", [(5, "a\x0cb", "c")]),
+    ):
+        assert rows(parse_contacts(text.split("\n"))) == expected
 
 
 def test_parse_malformed_first_line():
@@ -39,18 +59,32 @@ def test_parse_malformed_first_line():
 
 
 def test_parse_error_carries_line_number():
-    with pytest.raises(ContactLogError, match="line 3"):
-        records("0,a,b\n1,b,c\n2,c\n")
+    cfg = IngestConfig(30, 0, 59)
+    for text, message in (
+        ("0,a,b\n1,b,c\n2,c\n", "line 3: expected 'timestamp,label_a,label_b'"),
+        # the record on line 2 is outside the window, the bad line after it is still named
+        ("0,a,b\n999,a,b\nx,a,b\n", "line 3: non-integer timestamp 'x'"),
+        # a header is recognized on line 1 only
+        ("0,a,b\ntimestamp,a,b\n", "line 2: non-integer timestamp 'timestamp'"),
+        ("\ntimestamp,a,b\n0,a,b\n", "line 2: non-integer timestamp 'timestamp'"),
+        # lines of 2 and 4 fields hold 6 fields between them
+        ("1,2\n3,4,5,6\n", "line 1: expected"),
+        ("0,a,b\n\n1,,b\n", "line 3: empty node label"),
+        ("0,a,b\r\n1, b ,b\r\n", "line 2: self-contact on label 'b'"),
+        ("0,a,b\n1_000,a,b\n1.5,a,b\n", "line 3: non-integer timestamp '1.5'"),
+    ):
+        with pytest.raises(ContactLogError, match=message):
+            discretize_with_stats(records(text), cfg)
 
 
 def test_parse_skips_header():
-    got = records("timestamp,label_a,label_b\n0,a,b\n")
-    assert got == [ContactRecord(0, "a", "b")]
+    for header in ("timestamp,label_a,label_b", " Timestamp ,a,b", "TIMESTAMP"):
+        assert rows(records(f"{header}\n0,a,b\n")) == [(0, "a", "b")]
 
 
 def test_parse_crlf_and_blank_lines():
-    got = records("0,a,b\r\n\r\n5,b,c\r\n")
-    assert got == [ContactRecord(0, "a", "b"), ContactRecord(5, "b", "c")]
+    for text in ("0,a,b\r\n\r\n5,b,c\r\n", "\n0,a,b\n \t\n5,b,c", "0,a,b\r\n\x0c\n5,b,c\n\n"):
+        assert rows(parse_contacts(text.split("\n"))) == [(0, "a", "b"), (5, "b", "c")]
 
 
 def test_parse_rejects_self_contact():
@@ -101,7 +135,7 @@ def test_discretize_snapshot_count_formula():
         end = start + rng.randint(0, 5000)
         gran = rng.randint(1, 90)
         cfg = IngestConfig(gran, start, end)
-        tvg = discretize([ContactRecord(start, "a", "b")], cfg)
+        tvg = discretize(log([(start, "a", "b")]), cfg)
         assert tvg.num_instants == (end - start) // gran + 1
 
 
@@ -109,6 +143,11 @@ def test_discretize_labels_first_appearance_order():
     tvg, stats = discretize_with_stats(records("0,zoe,amy\n1,amy,bob\n"))
     assert stats.labels == ["zoe", "amy", "bob"]
     assert tvg.node_labels == {0: "zoe", 1: "amy", 2: "bob"}
+    # a label seen only in rejected records gets no id
+    text = "0,zoe,amy\n500,ghost,amy\n1,amy,bob\n-5,bob,ghost\n"
+    tvg, stats = discretize_with_stats(records(text), IngestConfig(30, 0, 59))
+    assert stats.labels == ["zoe", "amy", "bob"]
+    assert (tvg.num_nodes, stats.records_rejected) == (3, 2)
 
 
 def test_discretize_rejects_out_of_range_with_count():
@@ -118,27 +157,33 @@ def test_discretize_rejects_out_of_range_with_count():
     assert stats.records_read == 3
     assert tvg.num_instants == 2
     assert tvg.num_contacts() == 2
+    # timestamps past int64 either way are rejected and counted too
+    text = f"0,a,b\n{INT64_PAST},a,b\n30,b,c\n{-INT64_PAST - 1},c,d\n"
+    big, stats = discretize_with_stats(records(text), cfg)
+    assert (stats.records_read, stats.records_rejected) == (4, 2)
+    assert big == tvg
 
 
 def test_discretize_empty_stream_needs_bounds():
     with pytest.raises(ValueError, match="explicit start and end"):
-        discretize([])
-    tvg = discretize([], IngestConfig(30, 0, 89))
+        discretize(records(""))
+    tvg = discretize(records(""), IngestConfig(30, 0, 89))
     assert tvg.num_instants == 3
     assert tvg.num_nodes == 0
 
 
 def test_discretize_idempotent_under_duplicates():
-    base = records("0,a,b\n40,b,c\n")
-    doubled = base + base
-    assert discretize(base, IngestConfig(30)) == discretize(doubled, IngestConfig(30))
+    text = "0,a,b\n40,b,c\n"
+    assert discretize(records(text), IngestConfig(30)) == discretize(
+        records(text + text), IngestConfig(30)
+    )
 
 
 def _random_log(rng: random.Random, labels: list[str], span: int, count: int):
     recs = []
     for _ in range(count):
         a, b = rng.sample(labels, 2)
-        recs.append(ContactRecord(rng.randint(0, span), a, b))
+        recs.append((rng.randint(0, span), a, b))
     return recs
 
 
@@ -148,12 +193,10 @@ def test_relabeling_invariance():
     labels = [f"n{i}" for i in range(12)]
     recs = _random_log(rng, labels, span=600, count=150)
     mapping = dict(zip(labels, rng.sample(labels, len(labels))))
-    relabeled = [
-        ContactRecord(r.timestamp, mapping[r.label_a], mapping[r.label_b]) for r in recs
-    ]
+    relabeled = [(t, mapping[a], mapping[b]) for t, a, b in recs]
     cfg = IngestConfig(30, 0, 600)
-    a = discretize(recs, cfg)
-    b = discretize(relabeled, cfg)
+    a = discretize(log(recs), cfg)
+    b = discretize(log(relabeled), cfg)
     assert a.num_nodes == b.num_nodes
     assert a.num_instants == b.num_instants
     assert [len(s) for s in a.snapshots] == [len(s) for s in b.snapshots]
@@ -167,3 +210,6 @@ def test_discretize_refuses_instant_count_over_the_cap():
     # an outlier timestamp 2e9 s after the first: 66.7 M instants at 30 s bins
     with pytest.raises(ValueError, match="MAX_INSTANTS"):
         discretize(records("0,a,b\n2000000000,b,c\n"), IngestConfig(30))
+    # one past int64, with no window to reject it
+    with pytest.raises(ValueError, match="MAX_INSTANTS"):
+        discretize(records(f"0,a,b\n{INT64_PAST},b,c\n"), IngestConfig(30))

@@ -192,11 +192,42 @@ def test_save_load_round_trip(tmp_path, chain4):
         ("tvg v1 2 2\n0 0 1\n0 1\n0 0 x\n", "line 3: expected"),
         ("tvg v1 2 2\n1 0 99999999999999999999\n", "line 2: node out of range"),
         ("tvg v1 2 2\n-99999999999999999999 0 1\n", "line 2: time -99999999999999999999"),
+        # fields are ASCII [+-]?[0-9]+, whatever else int() reads
+        ("tvg v1 2 2\n0 0 1\n1_0 0 1\n", "line 3: non-integer field"),
+        ("tvg v1 2 2\n0 0 \u0661\n", "line 2: non-integer field"),
+        ("tvg v1 2 2\n0 0 1.0\n", "line 2: non-integer field"),
+        ("tvg v1 2 2\n0 0 1\x00\n", "line 2: non-integer field"),
+        # there are no comments (comments=None)
+        ("tvg v1 2 2\n# comment\n0 0 1\n", "line 2: expected '<time> <a> <b>'"),
     ],
 )
 def test_parse_errors(text, match):
     with pytest.raises(TvgFormatError, match=match):
         parse_tvg(io.StringIO(text))
+
+
+def test_parse_field_grammar():
+    """Whitespace runs separate fields; rows may come in any order."""
+    expected = TVG(3, 2, [(0, 0, 1), (1, 1, 2)])
+    for body in (
+        "0 0 1\n1 1 2\n",
+        "\t0\t0  1 \r\n\n+1 +1 2\r\n",
+        "1 1 2\n0 0 1\n1 1 2\n",  # out of order, with a duplicate
+        "0\x0c0\x0b1\n1\u20281 2",  # what str.split() splits on, no final newline
+    ):
+        text = "tvg v1 3 2\n" + body
+        assert parse_tvg(io.StringIO(text)) == expected, body
+        assert parse_tvg(line for line in text.split("\n")) == expected, body
+
+
+def test_parse_error_path_rereads_a_stream_from_where_it_started(tmp_path):
+    path = tmp_path / "t.tvg"
+    path.write_text("preamble\ntvg v1 2 2\n\n0 0 x\n")
+    for skip in (lambda fh: fh.readline(), next):  # next() disables tell()
+        with open(path) as fh:
+            skip(fh)
+            with pytest.raises(TvgFormatError, match="line 3: non-integer"):
+                parse_tvg(fh)
 
 
 def _churn_by_sets(tvg):
