@@ -14,7 +14,8 @@ at that instant performs, averaged over all start nodes:
   number of nodes informed after at most phi steps, normalized by |V|^2.
   Always in [1/|V|, 1]; higher is more central.
 
-Values are exact rationals (Fraction); INF is float('inf'). Tables,
+Values are exact rationals (Fraction); INF is float('inf'). metric_sweep
+computes them all, cover_time and tcc as one-instant sweeps. Tables,
 rankings, distributions and their CSV files live in the tables module.
 """
 
@@ -31,8 +32,9 @@ from .diffusion import (
     CoverageThreshold,
     check_phi,
     check_tau,
+    cover_top,
     earliest_arrivals,
-    spread_milestones,
+    spread_milestones,  # noqa: F401  (re-exported: perfbench/traced.py wraps it here)
 )
 from .tables import (
     INF,
@@ -82,7 +84,7 @@ def default_eval_range(num_instants: int) -> tuple[int, int]:
 
 
 def cover_time(tvg: TVG, t_i: int, thr: CoverageThreshold) -> MetricValue:
-    """Cover time of one instant: mean steps to the threshold, or INF."""
+    """Cover time of one instant, a one-instant sweep: mean steps to the threshold, or INF."""
     if tvg.num_nodes == 0:
         raise ValueError("TVG has no nodes")
     need = thr.required_count
@@ -90,37 +92,12 @@ def cover_time(tvg: TVG, t_i: int, thr: CoverageThreshold) -> MetricValue:
         raise ValueError(
             f"threshold of {need} nodes does not match tau={thr.tau} on {tvg.num_nodes} nodes"
         )
-    milestones = spread_milestones(tvg, t_i, stop_count=need)
-    if any(len(m) < need for m in milestones):
-        return INF
-    return Fraction(sum(m[need - 1] for m in milestones), tvg.num_nodes)
+    return metric_sweep(tvg, MetricSpec.ct(thr.tau), (t_i, t_i + 1)).values[t_i]
 
 
 def tcc(tvg: TVG, t_i: int, phi: int) -> Fraction:
-    """Time-constrained coverage of one instant for step budget phi."""
-    check_phi(phi)
-    if tvg.num_nodes == 0:
-        raise ValueError("TVG has no nodes")
-    milestones = spread_milestones(tvg, t_i, max_steps=phi)
-    return Fraction(sum(len(m) for m in milestones), tvg.num_nodes ** 2)
-
-
-def _ct_pass_top(tvg: TVG, last: int, need: int) -> int:
-    """Last snapshot a ct sweep of instants before `last` reads.
-
-    A diffusion from (u, t), t < last - 1, still holds u at last - 1, so
-    from then on it informs a superset of the one from (u, last - 1) and
-    meets the threshold no later. When every diffusion from last - 1 meets
-    it, the latest of them bounds the whole range; otherwise the pass reads
-    to the end.
-    """
-    if last == tvg.num_instants:
-        return last - 1  # the range's last instant reads the last snapshot itself
-    reach = spread_milestones(tvg, last - 1, stop_count=need)
-    if any(len(m) < need for m in reach):
-        return tvg.num_instants - 1
-    # milestone step s of a diffusion from last - 1 consumes snapshot last - 2 + s
-    return max(last - 1, last - 2 + max(m[need - 1] for m in reach))
+    """Time-constrained coverage of one instant for step budget phi, a one-instant sweep."""
+    return metric_sweep(tvg, MetricSpec.tcc(phi), (t_i, t_i + 1)).values[t_i]
 
 
 def metric_sweep(
@@ -133,9 +110,11 @@ def metric_sweep(
     One backward pass of diffusion.earliest_arrivals serves every instant;
     each instant's arrival matrix is reduced to its value at once. ct takes
     per start the required_count-th earliest arrival (a row-wise
-    partition) and reads no snapshot past _ct_pass_top. tcc counts the
-    arrivals within phi steps and reads no snapshot past the last instant's
-    budget. Values equal cover_time and tcc of each instant.
+    partition) and reads no snapshot past cover_top of the range's last
+    instant: a diffusion from (u, t), t < last - 1, still holds u at
+    last - 1, so it meets the threshold no later than the one from
+    (u, last - 1). tcc counts the arrivals within phi steps and reads no
+    snapshot past the last instant's budget.
     """
     n = tvg.num_nodes
     if n == 0:
@@ -151,14 +130,12 @@ def metric_sweep(
     unreached: dict[int, int] = {}
     if metric.kind == "ct":
         need = CoverageThreshold.of(metric.tau, n).required_count
-        kth = need - 1
-        for t_i, arrival in earliest_arrivals(tvg, first, last, _ct_pass_top(tvg, last, need)):
-            cover = np.partition(arrival, kth, axis=1)[:, kth]
+        top = cover_top(tvg, last - 1, need, tvg.num_instants - 1)
+        for t_i, arrival in earliest_arrivals(tvg, first, last, top):
+            cover = np.partition(arrival, need - 1, axis=1)[:, need - 1]
             unreached[t_i] = int(np.count_nonzero(cover == NEVER))
-            if unreached[t_i]:
-                values[t_i] = INF
-            else:
-                values[t_i] = Fraction(int(cover.sum(dtype=np.int64)) - n * (t_i - 1), n)
+            total = int(cover.sum(dtype=np.int64)) - n * (t_i - 1)
+            values[t_i] = INF if unreached[t_i] else Fraction(total, n)
     else:
         phi = metric.phi
         top = min(tvg.num_instants - 1, last - 2 + phi)

@@ -189,7 +189,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = IngestConfig(args.granularity, args.start, args.end)
+    try:
+        cfg = IngestConfig(args.granularity, args.start, args.end)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     _print_header(
         args,
         {
@@ -214,14 +217,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _sweep_args_to_spec(args: argparse.Namespace) -> MetricSpec:
     kind = getattr(args, "metric", args.command)  # compare names it, ct/tcc are it
+    own, other = ("tau", "phi") if kind == "ct" else ("phi", "tau")
+    if getattr(args, own) is None:
+        raise _UsageError(f"{kind} needs --{own}")
+    if getattr(args, other, None) is not None:  # ct and tcc have no such flag
+        raise _UsageError(f"--{other} does not apply to {kind}")
     try:
-        if kind == "ct":
-            if args.tau is None:
-                raise _UsageError("cover time needs --tau")
-            return MetricSpec.ct(args.tau)
-        if args.phi is None:
-            raise _UsageError("coverage needs --phi")
-        return MetricSpec.tcc(args.phi)
+        return MetricSpec.ct(args.tau) if kind == "ct" else MetricSpec.tcc(args.phi)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -231,6 +233,8 @@ def _sweep(args: argparse.Namespace, config: dict[str, object]) -> tuple[TVG, Me
 
     `config` holds the command's own header fields, printed after the metric.
     """
+    if args.workers < 0:
+        raise _UsageError("workers must be non-negative")
     metric = _sweep_args_to_spec(args)
     tvg = load_tvg(args.input)
     eval_range = (
@@ -238,8 +242,6 @@ def _sweep(args: argparse.Namespace, config: dict[str, object]) -> tuple[TVG, Me
         if args.eval_range is None
         else _parse_range(args.eval_range, tvg.num_instants)
     )
-    if args.workers < 0:
-        raise _UsageError("workers must be non-negative")
     _print_header(
         args,
         {

@@ -15,14 +15,14 @@ snapshots run out.
 
 One engine follows this rule. earliest_arrivals answers every start
 node of every instant of a range in one backward pass over the
-snapshots; the centrality sweeps build on it. It reads each snapshot as
-its contact nodes by degree and their k-th neighbours, which
-_neighbour_columns derives with numpy from the TVG's edge slices.
-spread_milestones reduces a single-instant pass to per-start milestone
-lists; the single-instant cover_time and tcc of timecent.centrality, and
-the bound on the snapshots a ct sweep reads, build on it. The
-time-expanded oracle (timecent.oracle) is the independent reference the
-tests check the engine against.
+snapshots; every metric of timecent.centrality is a sweep built on it.
+It reads each snapshot as its contact nodes by degree and their k-th
+neighbours, which _neighbour_columns derives with numpy from the TVG's
+edge slices. cover_top probes how far the diffusions from one instant
+read until each has informed a given count, which bounds a ct sweep.
+spread_milestones reduces one single-instant pass to milestone lists.
+The time-expanded oracle (timecent.oracle) is the independent reference
+the tests check the engine against.
 """
 
 from __future__ import annotations
@@ -177,13 +177,32 @@ def earliest_arrivals(
                 np.minimum(part, arrival.take(columns[at : at + length], axis=0), out=part)
                 at += length
             arrival[nodes] = rows
+            del rows, part  # not held through the caller's reduction
         if t < last:
             diagonal[:] = t - 1
             yield t, arrival
 
 
-# spread_milestones with stop_count reads 1, 4, 16, ... snapshots per round.
+# cover_top reads 1, 4, 16, ... snapshots per round.
 _GROWTH = 4
+
+
+def cover_top(tvg: TVG, time: int, need: int, limit: int) -> int:
+    """Last snapshot the diffusions from `time` read to inform `need` nodes each.
+
+    Needs 1 <= need <= num_nodes. Runs single-instant passes whose top grows
+    x4 from `time` until every start meets need, then returns max(time, the
+    latest need-th arrival); `limit` if the next pass's top would reach it.
+    """
+    span = 1
+    while (top := time - 1 + span) < limit:
+        _, arrival = next(earliest_arrivals(tvg, time, time + 1, top))
+        latest = int(np.partition(arrival, need - 1, axis=1)[:, need - 1].max())
+        del arrival  # freed before the next probe allocates its own
+        if latest != NEVER:
+            return max(time, latest)
+        span *= _GROWTH
+    return limit
 
 
 def spread_milestones(
@@ -196,8 +215,8 @@ def spread_milestones(
     (m[0] == 0 always). Lists run until the snapshots run out or max_steps
     is spent; with stop_count, only to the first step by which every start
     has informed stop_count nodes, if there is one. They are the sorted
-    rows of a single-instant earliest_arrivals pass (arrival a is step
-    a - time + 1), read wider each round until stop_count is met.
+    rows of one single-instant earliest_arrivals pass (arrival a is step
+    a - time + 1), which with stop_count reads to cover_top's snapshot.
     """
     if not 0 <= time < tvg.num_instants:
         raise ValueError(f"time {time} out of range [0,{tvg.num_instants})")
@@ -207,14 +226,11 @@ def spread_milestones(
     need = None if stop_count is None else max(stop_count, 1)
     if need is not None and need > tvg.num_nodes:
         need = None  # never met
-    span = budget if need is None else 1
-    while True:
-        span = min(span, budget)
-        # step s reads snapshot time - 1 + s; a zero budget still reads one
-        _, arrival = next(earliest_arrivals(tvg, time, time + 1, time - 1 + max(span, 1)))
-        if span == budget or np.all(np.count_nonzero(arrival != NEVER, axis=1) >= need):
-            break
-        span *= _GROWTH
+    # step s reads snapshot time - 1 + s; a zero budget still reads one
+    top = time - 1 + max(budget, 1)
+    if need is not None:
+        top = cover_top(tvg, time, need, top)
+    _, arrival = next(earliest_arrivals(tvg, time, time + 1, top))
     steps = np.sort(arrival, axis=1).astype(np.int64) - (time - 1)
     cut = budget if need is None else min(budget, int(steps[:, need - 1].max()))
     counts = np.count_nonzero(steps <= cut, axis=1)

@@ -175,7 +175,7 @@ def write_table_csv(table: MetricTable, out: IO[str]) -> None:
         out.write(f"{t_i},{format_value(table.values[t_i])},{unreached}\n")
 
 
-def read_table_csv(src: IO[str] | Iterable[str], metric: MetricSpec | None = None) -> MetricTable:
+def read_table_csv(src: IO[str] | Iterable[str]) -> MetricTable:
     """Read a table written by write_table_csv; values become floats.
 
     A sweep writes each instant once, with a value >= 0 or inf and a
@@ -213,7 +213,7 @@ def read_table_csv(src: IO[str] | Iterable[str], metric: MetricSpec | None = Non
     if not values:
         raise ValueError("metric table has no rows")
     times = sorted(values)
-    return MetricTable(metric, values, (times[0], times[-1] + 1), unreached)
+    return MetricTable(None, values, (times[0], times[-1] + 1), unreached)
 
 
 def write_ranking_csv(ranked: Sequence[tuple[int, MetricValue]], out: IO[str]) -> None:

@@ -29,7 +29,6 @@ from timecent import (
     tcc,
 )
 from timecent import diffusion
-from timecent.centrality import _ct_pass_top
 from timecent.tables import (
     comparison_summary,
     format_value,
@@ -145,9 +144,31 @@ def test_metric_sweep_equals_per_instant_results_random():
         last = rng.randint(1, max(1, tvg.num_instants // 3))
         first = rng.randrange(last)
         _assert_sweeps_match_oracle(tvg, first, last)
-        tops = [_ct_pass_top(tvg, last, r) for r in range(2, tvg.num_nodes + 1)]
-        early += any(top < tvg.num_instants - 1 for top in tops)
+        tops = _assert_cover_top_matches_oracle(tvg)
+        early += any(tops[last - 1, r] < tvg.num_instants - 1 for r in range(2, tvg.num_nodes + 1))
     assert early >= 10
+
+
+def _assert_cover_top_matches_oracle(tvg):
+    """cover_top of every instant t and count r, with the last snapshot as
+    limit, is max(t, t - 1 + the latest first budget at which an oracle
+    reach profile from t holds r nodes) when a probe top below the limit
+    reaches that snapshot, and the limit otherwise. Returns the tops by
+    (t, r)."""
+    g = expand(tvg)
+    n, limit = tvg.num_nodes, tvg.num_instants - 1
+    tops = {}
+    for t in range(tvg.num_instants):
+        rows = [[len(s) for s in reach_profile(g, TemporalNode(u, t))] for u in range(n)]
+        probes = [t - 1 + 4**k for k in range(limit + 1) if t - 1 + 4**k < limit]
+        for r in range(1, n + 1):
+            steps = [next((s for s, c in enumerate(row) if c >= r), None) for row in rows]
+            top = tops[t, r] = diffusion.cover_top(tvg, t, r, limit)
+            if None in steps or not any(p >= t - 1 + max(steps) for p in probes):
+                assert top == limit, (t, r)
+            else:
+                assert top == max(t, t - 1 + max(steps)), (t, r)
+    return tops
 
 
 def test_metric_sweep_equals_per_instant_results_degenerate():
@@ -194,6 +215,25 @@ def test_metric_sweep_and_single_instant_metrics_refuse_nodes_over_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_single_instant_metrics_hold_memory_near_one_arrival_matrix():
+    # 2048 nodes: one int32 arrival matrix is 16 MiB; 512 contacts per snapshot
+    rng = random.Random(7)
+    n, big_n = 2048, 12
+    rows = sorted({(t, *sorted(rng.sample(range(n), 2))) for t in range(big_n) for _ in range(n // 4)})
+    tvg = TVG(n, big_n, rows)
+    for call in (
+        lambda: cover_time(tvg, 1, CoverageThreshold.of("0.5", n)),
+        lambda: tcc(tvg, 1, 3),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 def test_metric_sweep_range_validation(chain4):

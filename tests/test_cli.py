@@ -122,6 +122,23 @@ def test_ingest_reads_a_byte_order_mark(tmp_path, capsys):
     assert outs[0] == outs[1] == b"tvg v1 3 2\n0 0 1\n1 1 2\n"
 
 
+@pytest.mark.parametrize("flags", [("--granularity", "0"), ("--start", "10", "--end", "5")])
+def test_ingest_bad_flag_values_are_usage_errors_before_reading(tmp_path, capsys, flags):
+    out = tmp_path / "m.tvg"
+    code, _, err = run(capsys, "ingest", str(tmp_path / "missing.csv"), *flags, "--out", str(out))
+    assert code == 1, err
+    assert "data error" not in err
+    assert not out.exists()
+
+
+def test_ingest_window_past_the_data_is_a_data_error(tmp_path, capsys):
+    log = tmp_path / "contacts.csv"
+    log.write_text("0,a,b\n100,a,b\n")
+    code, _, err = run(capsys, "ingest", str(log), "--start", "500", "--out", str(tmp_path / "m.tvg"))
+    assert code == 2
+    assert "data error" in err
+
+
 def test_ct_sweep_row_count(small_tvg_path, tmp_path, capsys):
     out = tmp_path / "ct.csv"
     code, stdout, _ = run(capsys, "ct", str(small_tvg_path), "--tau", "0.2",
@@ -216,10 +233,13 @@ def test_contact_log_with_outlier_timestamp_is_a_data_error(tmp_path):
 
 
 def test_sweep_negative_workers_is_usage_error(small_tvg_path, tmp_path, capsys):
-    code, _, err = run(capsys, "tcc", str(small_tvg_path), "--phi", "3",
-                       "--workers", "-1", "--out", str(tmp_path / "t.csv"))
-    assert code == 1
-    assert "workers" in err
+    # checked before the input is read, so a missing file does not turn it into a data error
+    for command, flag, tvg in (("tcc", ("--phi", "3"), small_tvg_path),
+                               ("ct", ("--tau", "0.5"), tmp_path / "missing.tvg")):
+        code, _, err = run(capsys, command, str(tvg), *flag,
+                           "--workers", "-1", "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert "workers" in err
 
 
 def test_sweep_worker_count_invariance(small_tvg_path, tmp_path, capsys):
@@ -290,6 +310,20 @@ def test_compare_requires_metric_parameter(small_tvg_path, tmp_path, capsys):
                        "--k", "4", "--seed", "7", "--out", str(tmp_path / "c.csv"))
     assert code == 1
     assert "tau" in err
+
+
+@pytest.mark.parametrize(
+    "metric, given, foreign",
+    [("tcc", ("--phi", "3"), ("--tau", "7")), ("ct", ("--tau", "0.5"), ("--phi", "3"))],
+)
+def test_compare_refuses_the_other_metrics_parameter(small_tvg_path, tmp_path, capsys,
+                                                      metric, given, foreign):
+    out = tmp_path / "c.csv"
+    code, _, err = run(capsys, "compare", str(small_tvg_path), "--metric", metric, *given,
+                       *foreign, "--k", "4", "--seed", "7", "--out", str(out))
+    assert code == 1
+    assert foreign[0] in err
+    assert not out.exists()
 
 
 def test_churn_reports_fraction(small_tvg_path, capsys):
