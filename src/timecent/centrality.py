@@ -132,7 +132,8 @@ def metric_sweep(
         need = CoverageThreshold.of(metric.tau, n).required_count
         top = cover_top(tvg, last - 1, need, tvg.num_instants - 1)
         for t_i, arrival in earliest_arrivals(tvg, first, last, top):
-            cover = np.partition(arrival, need - 1, axis=1)[:, need - 1]
+            # a copy: a view would keep the partitioned n x n copy alive through the next snapshot
+            cover = np.partition(arrival, need - 1, axis=1)[:, need - 1].copy()
             unreached[t_i] = int(np.count_nonzero(cover == NEVER))
             total = int(cover.sum(dtype=np.int64)) - n * (t_i - 1)
             values[t_i] = INF if unreached[t_i] else Fraction(total, n)
@@ -149,21 +150,22 @@ def metric_sweep(
     )
 
 
-def compare_topk_random(
-    tvg: TVG, table: MetricTable, k: int, seed: int
-) -> ComparisonReport:
+def check_top_k(k: int, instants: int) -> None:
+    """ValueError unless k >= 1 and `instants` hold k top instants and k others."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if instants < 2 * k:
+        raise ValueError(f"evaluation range of {instants} instants is too small for k={k}")
+
+
+def compare_topk_random(table: MetricTable, k: int, seed: int) -> ComparisonReport:
     """Contrast the k most central instants with k random other instants.
 
     The baseline is drawn uniformly without replacement from the table's
     instants excluding the top-k set, using a seeded generator, so the
     report is reproducible. Requires at least 2k instants.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(table.values) < 2 * k:
-        raise ValueError(
-            f"evaluation range of {len(table.values)} instants is too small for k={k}"
-        )
+    check_top_k(k, len(table.values))
     top = rank_instants(table, k)
     top_set = {t_i for t_i, _ in top}
     candidates = [t_i for t_i in table.times() if t_i not in top_set]

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import __version__
 from .tables import (
@@ -28,9 +28,6 @@ from .tables import (
     write_table_csv,
 )
 
-if TYPE_CHECKING:
-    from .tvg import TVG
-
 # The numpy-backed names the handlers call, by home module. __getattr__
 # binds one here on first access from outside (PEP 562), and main() binds
 # those of its command's modules before running it. A name already bound
@@ -39,7 +36,9 @@ _ENGINE = {
     "tvg": ("churn_rate", "load_tvg", "save_tvg"),
     "synth": ("ErTvgSpec", "generate_er_tvg", "reference_spec"),
     "ingest": ("IngestConfig", "discretize_with_stats", "parse_contacts"),
-    "centrality": ("MetricSpec", "compare_topk_random", "default_eval_range", "metric_sweep"),
+    "centrality": (
+        "MetricSpec", "check_top_k", "compare_topk_random", "default_eval_range", "metric_sweep"
+    ),
 }
 
 
@@ -228,7 +227,7 @@ def _sweep_args_to_spec(args: argparse.Namespace) -> MetricSpec:
         raise _UsageError(str(exc)) from None
 
 
-def _sweep(args: argparse.Namespace, config: dict[str, object]) -> tuple[TVG, MetricTable]:
+def _sweep(args: argparse.Namespace, config: dict[str, object]) -> MetricTable:
     """Load, validate and announce the sweep of a ct/tcc/compare run, then run it.
 
     `config` holds the command's own header fields, printed after the metric.
@@ -253,11 +252,13 @@ def _sweep(args: argparse.Namespace, config: dict[str, object]) -> tuple[TVG, Me
             "out": args.out,
         },
     )
-    return tvg, metric_sweep(tvg, metric, eval_range)
+    if args.command == "compare":  # refused before the sweep, not after it
+        check_top_k(args.k, eval_range[1] - eval_range[0])
+    return metric_sweep(tvg, metric, eval_range)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _, table = _sweep(args, {})
+    table = _sweep(args, {})
     _write_text(args.out, lambda fh: write_table_csv(table, fh))
     print(f"wrote {args.out}: {len(table.values)} rows")
     return 0
@@ -292,8 +293,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise _UsageError("k must be at least 1")
-    tvg, table = _sweep(args, {"k": args.k, "seed": args.seed})
-    report = compare_topk_random(tvg, table, args.k, args.seed)
+    table = _sweep(args, {"k": args.k, "seed": args.seed})
+    report = compare_topk_random(table, args.k, args.seed)
     _write_text(args.out, lambda fh: write_comparison_csv(report, fh))
     print(comparison_summary(report))
     print(f"wrote {args.out}")

@@ -16,10 +16,10 @@ snapshots run out.
 One engine follows this rule. earliest_arrivals answers every start
 node of every instant of a range in one backward pass over the
 snapshots; every metric of timecent.centrality is a sweep built on it.
-It reads each snapshot as its contact nodes by degree and their k-th
-neighbours, which _neighbour_columns derives with numpy from the TVG's
-edge slices. cover_top probes how far the diffusions from one instant
-read until each has informed a given count, which bounds a ct sweep.
+It lays each snapshot out from the TVG's edge slices with numpy, as its
+contact nodes by degree and runs of their k-th neighbours. cover_top
+probes how far the diffusions from one instant read until each has
+informed a given count, which bounds a ct sweep.
 spread_milestones reduces one single-instant pass to milestone lists.
 The time-expanded oracle (timecent.oracle) is the independent reference
 the tests check the engine against.
@@ -75,70 +75,18 @@ class CoverageThreshold:
         return cls(frac, required)
 
 
-# Instants whose neighbour columns are prepared at once: bounds the arrays
+# Instants whose arcs are laid out at once: bounds the arrays
 # a pass holds, and the work a pass with a near top has wasted.
 _CHUNK = 1024
 
 
 # Largest node count earliest_arrivals (every metric) accepts: its state is
-# one n x n int32 matrix, 256 MiB at this size.
+# one n x n int32 matrix, 256 MiB at this size. With a snapshot's contact
+# rows and one neighbour gather, a pass peaks near 3x that (768 MiB).
 MAX_SWEEP_NODES = 8192
 
 # Arrival entry of a node the flood never informs.
 NEVER = np.iinfo(np.int32).max
-
-
-def _neighbour_columns(
-    tvg: TVG, first: int, top: int
-) -> Iterator[tuple[int, np.ndarray, list[int], np.ndarray]]:
-    """Yield (t, nodes, lengths, columns) for t = top down to first.
-
-    nodes are the contact nodes of snapshot t by degree, highest first, so
-    the nodes with a k-th neighbour are a prefix. columns lists the first
-    neighbours of nodes[:lengths[0]], then the second neighbours of
-    nodes[:lengths[1]], and so on. An empty snapshot yields no nodes.
-    """
-    for hi in range(top, first - 1, -_CHUNK):
-        lo = max(first, hi - _CHUNK + 1)
-        span = np.arange(lo, hi + 2)
-        block = tvg.edges[tvg.offsets[lo] : tvg.offsets[hi + 1]]
-        # one arc per contact end, grouped by (time, node)
-        time = np.concatenate((block[:, 0], block[:, 0]))
-        node = np.concatenate((block[:, 1], block[:, 2]))
-        nbr = np.concatenate((block[:, 2], block[:, 1]))
-        order = np.lexsort((node, time))
-        time, node, nbr = time[order], node[order], nbr[order]
-        # head[i]: arc i opens a group; the last entry closes the final one
-        head = np.ones(len(time) + 1, dtype=bool)
-        head[1:-1] = (time[1:] != time[:-1]) | (node[1:] != node[:-1])
-        bounds = np.flatnonzero(head)
-        starts = bounds[:-1]
-        degree = bounds[1:] - starts
-        # each snapshot's nodes by degree; column k follows the same order
-        group_time = time[starts]
-        by_degree = np.lexsort((-degree, group_time))
-        nodes = node[starts[by_degree]]
-        node_at = np.searchsorted(group_time, span).tolist()
-        place = np.empty_like(by_degree)
-        place[by_degree] = np.arange(len(by_degree))
-        k = np.arange(len(time)) - np.repeat(starts, degree)  # arc's rank at its node
-        order = np.lexsort((np.repeat(place, degree), k, time))
-        columns = nbr[order]
-        time, k = time[order], k[order]
-        head[1:-1] = (time[1:] != time[:-1]) | (k[1:] != k[:-1])
-        bounds = np.flatnonzero(head)
-        runs = bounds[:-1]
-        lengths = (bounds[1:] - runs).tolist()
-        run_at = np.searchsorted(time[runs], span).tolist()
-        arc_at = np.searchsorted(time, span).tolist()
-        for t in range(hi, lo - 1, -1):
-            j = t - lo
-            yield (
-                t,
-                nodes[node_at[j] : node_at[j + 1]],
-                lengths[run_at[j] : run_at[j + 1]],
-                columns[arc_at[j] : arc_at[j + 1]],
-            )
 
 
 def earliest_arrivals(
@@ -166,21 +114,46 @@ def earliest_arrivals(
         raise ValueError(f"{n} nodes exceed the sweep limit of {MAX_SWEEP_NODES} nodes")
     arrival = np.full((n, n), NEVER, dtype=np.int32)
     diagonal = arrival.reshape(-1)[:: n + 1]
-    for t, nodes, lengths, columns in _neighbour_columns(tvg, first, top):
-        if len(nodes):
-            # the diagonal is only kept at yields; the rows read here need E_{t+1}[w, w] = t
-            diagonal[nodes] = t
-            rows = arrival.take(nodes, axis=0)
-            at = 0
-            for length in lengths:
-                part = rows[:length]
-                np.minimum(part, arrival.take(columns[at : at + length], axis=0), out=part)
-                at += length
-            arrival[nodes] = rows
-            del rows, part  # not held through the caller's reduction
-        if t < last:
-            diagonal[:] = t - 1
-            yield t, arrival
+    for hi in range(top, first - 1, -_CHUNK):
+        lo = max(first, hi - _CHUNK + 1)
+        block = tvg.edges[tvg.offsets[lo] : tvg.offsets[hi + 1]]
+        # one arc per contact end, grouped by (time, node)
+        time = np.concatenate((block[:, 0], block[:, 0]))
+        node = np.concatenate((block[:, 1], block[:, 2]))
+        nbr = np.concatenate((block[:, 2], block[:, 1]))
+        order = np.lexsort((node, time))
+        time, node, nbr = time[order], node[order], nbr[order]
+        # head[i]: arc i opens a group; the last entry closes the final one
+        head = np.ones(len(time) + 1, dtype=bool)
+        head[1:-1] = (time[1:] != time[:-1]) | (node[1:] != node[:-1])
+        bounds = np.flatnonzero(head)
+        degree = np.diff(bounds)
+        k = np.arange(len(time)) - np.repeat(bounds[:-1], degree)  # arc's rank at its node
+        # Run k of a snapshot: the k-th neighbours of its contact nodes,
+        # highest degree first (the sort is stable, so ties keep node order).
+        # The nodes with a k-th neighbour are a prefix of run 0, and node
+        # over run 0 lists the snapshot's contact nodes.
+        order = np.lexsort((-np.repeat(degree, degree), k, time))
+        time, node, nbr, k = time[order], node[order], nbr[order], k[order]
+        head[1:-1] = (time[1:] != time[:-1]) | (k[1:] != k[:-1])
+        runs = np.flatnonzero(head)  # run r is arcs runs[r] to runs[r + 1]
+        run_at = np.searchsorted(time[runs[:-1]], np.arange(lo, hi + 2)).tolist()
+        runs = runs.tolist()
+        for t in range(hi, lo - 1, -1):
+            start, end = run_at[t - lo], run_at[t - lo + 1]  # snapshot t's runs
+            if start < end:
+                nodes = node[runs[start] : runs[start + 1]]
+                # the diagonal is only kept at yields; the rows read here need E_{t+1}[w, w] = t
+                diagonal[nodes] = t
+                rows = arrival.take(nodes, axis=0)
+                for r in range(start, end):
+                    part = rows[: runs[r + 1] - runs[r]]
+                    np.minimum(part, arrival.take(nbr[runs[r] : runs[r + 1]], axis=0), out=part)
+                arrival[nodes] = rows
+                del rows, part  # not held through the caller's reduction
+            if t < last:
+                diagonal[:] = t - 1
+                yield t, arrival
 
 
 # cover_top reads 1, 4, 16, ... snapshots per round.

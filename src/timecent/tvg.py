@@ -349,14 +349,17 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
             warnings.simplefilter("error")
             rows = np.loadtxt(it, dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, OverflowError, Warning):
-        rows = None
-    if rows is None or rows.shape[1] != 3 or _first_invalid(rows, num_nodes, num_instants):
-        if start is not None:
-            lines.seek(start)
-        it = iter(lines)
-        next(it)
-        rows = _scan_rows(it, num_nodes, num_instants)
-    return TVG(num_nodes, num_instants, rows)
+        pass
+    else:
+        try:
+            return TVG(num_nodes, num_instants, rows)
+        except ValueError:  # a row of the wrong shape or out of range: the scan names its line
+            pass
+    if start is not None:
+        lines.seek(start)
+    it = iter(lines)
+    next(it)
+    return TVG(num_nodes, num_instants, _scan_rows(it, num_nodes, num_instants))
 
 
 def _scan_rows(body: Iterable[str], num_nodes: int, num_instants: int) -> np.ndarray:

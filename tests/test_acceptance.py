@@ -179,11 +179,11 @@ def test_criterion_4_topk_superiority():
     for seed in CONTRAST_SEEDS:
         tvg = _reference_tvg(seed)
         ct_table = metric_sweep(tvg, MetricSpec.ct("0.1"), EVAL_RANGE)
-        report = compare_topk_random(tvg, ct_table, 10, seed)
+        report = compare_topk_random(ct_table, 10, seed)
         if not report.top.med < report.random.med:
             ct_fail += 1
         tcc_table = metric_sweep(tvg, MetricSpec.tcc(100), EVAL_RANGE)
-        report = compare_topk_random(tvg, tcc_table, 10, seed)
+        report = compare_topk_random(tcc_table, 10, seed)
         if not report.top.med > report.random.med:
             tcc_fail += 1
     ok = ct_fail <= 2 and tcc_fail <= 2

@@ -236,6 +236,26 @@ def test_single_instant_metrics_hold_memory_near_one_arrival_matrix():
         assert peak < 48 * 2**20
 
 
+def test_ct_sweep_holds_no_partitioned_copy_into_the_next_snapshot():
+    # 2048 nodes, three perfect matchings per instant: every node has contacts,
+    # so a pass holds the matrix, all its rows and one neighbour gather (3x)
+    rng = random.Random(3)
+    n, big_n = 2048, 6
+    rows = []
+    for t in range(big_n):
+        for _ in range(3):
+            order = rng.sample(range(n), n)
+            rows += [(t, *sorted(order[i : i + 2])) for i in range(0, n, 2)]
+    tvg = TVG(n, big_n, rows)
+    tracemalloc.start()
+    try:
+        metric_sweep(tvg, MetricSpec.ct("0.5"), (0, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * n * 4
+
+
 def test_metric_sweep_range_validation(chain4):
     with pytest.raises(ValueError):
         metric_sweep(chain4, MetricSpec.tcc(1), (0, 9))
@@ -361,15 +381,15 @@ def test_median_odd_even_inf():
 def test_compare_degenerate_equal_values():
     values = {t: Fraction(2) for t in range(20)}
     table = table_of(values, MetricSpec.ct("0.5"))
-    report = compare_topk_random(build_tvg(2, 1, []), table, 10, seed=3)
+    report = compare_topk_random(table, 10, seed=3)
     assert report.top.med == report.random.med == Fraction(2)
 
 
-def test_compare_excludes_top_from_baseline(chain4):
+def test_compare_excludes_top_from_baseline():
     rng = random.Random(2)
     values = {t: Fraction(rng.randint(0, 30), 2) for t in range(30)}
     table = table_of(values, MetricSpec.ct("0.5"))
-    report = compare_topk_random(chain4, table, 5, seed=11)
+    report = compare_topk_random(table, 5, seed=11)
     top_times = {t for t, _ in report.top.members}
     random_times = {t for t, _ in report.random.members}
     assert len(top_times) == len(random_times) == 5
@@ -379,10 +399,9 @@ def test_compare_excludes_top_from_baseline(chain4):
 def test_compare_is_seeded_and_reproducible():
     values = {t: Fraction(t % 7) for t in range(40)}
     table = table_of(values, MetricSpec.tcc(3))
-    tiny = build_tvg(2, 1, [])
-    a = compare_topk_random(tiny, table, 6, seed=9)
-    b = compare_topk_random(tiny, table, 6, seed=9)
-    c = compare_topk_random(tiny, table, 6, seed=10)
+    a = compare_topk_random(table, 6, seed=9)
+    b = compare_topk_random(table, 6, seed=9)
+    c = compare_topk_random(table, 6, seed=10)
     assert a == b
     assert a.random.members != c.random.members
 
@@ -390,7 +409,7 @@ def test_compare_is_seeded_and_reproducible():
 def test_compare_range_too_small():
     table = table_of({0: Fraction(1), 1: Fraction(2)}, MetricSpec.ct("0.5"))
     with pytest.raises(ValueError, match="too small"):
-        compare_topk_random(build_tvg(2, 1, []), table, 2, seed=1)
+        compare_topk_random(table, 2, seed=1)
 
 
 def test_tcc_monotone_in_phi_random():
@@ -483,7 +502,7 @@ def test_distribution_csv_format():
 def test_comparison_csv_and_summary():
     values = {t: Fraction(t) for t in range(10)}
     table = table_of(values, MetricSpec.ct("0.5"))
-    report = compare_topk_random(build_tvg(2, 1, []), table, 3, seed=5)
+    report = compare_topk_random(table, 3, seed=5)
     buf = io.StringIO()
     write_comparison_csv(report, buf)
     lines = buf.getvalue().splitlines()

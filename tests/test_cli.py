@@ -305,6 +305,20 @@ def test_compare_end_to_end(small_tvg_path, tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_compare_refuses_a_range_too_small_for_k_before_sweeping(small_tvg_path, tmp_path,
+                                                                 capsys, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("metric_sweep called")
+
+    monkeypatch.setattr(cli, "metric_sweep", sweep)
+    out = tmp_path / "c.csv"
+    code, _, err = run(capsys, "compare", str(small_tvg_path), "--metric", "tcc", "--phi", "3",
+                       "--k", "4", "--seed", "7", "--range", "0:7", "--out", str(out))
+    assert code == 2
+    assert "evaluation range of 7 instants is too small for k=4" in err
+    assert not out.exists()
+
+
 def test_compare_requires_metric_parameter(small_tvg_path, tmp_path, capsys):
     code, _, err = run(capsys, "compare", str(small_tvg_path), "--metric", "ct",
                        "--k", "4", "--seed", "7", "--out", str(tmp_path / "c.csv"))

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from timecent import TemporalNode, build_tvg, expand, oracle_reach, spread_milestones
+from timecent import Contact, TemporalNode, build_tvg, expand, oracle_reach, spread_milestones
+from timecent import diffusion
 from timecent.diffusion import earliest_arrivals
 from conftest import assert_engines_match_oracle, random_tvg
 
@@ -77,6 +78,21 @@ def test_diffusion_matches_oracle_small_batch():
     rng = random.Random(410)
     for _ in range(100):
         assert assert_engines_match_oracle(random_tvg(rng)) > 0
+
+
+def test_engines_match_oracle_on_a_star_and_a_matching_across_chunks(monkeypatch):
+    # snapshots 1 and 2 each hold a star, whose centre is not the lowest node,
+    # and a matching, so their nodes' degrees differ and their runs have
+    # different lengths; with 2-instant chunks they lie in different chunks
+    monkeypatch.setattr(diffusion, "_CHUNK", 2)
+    pairs = [
+        [(0, 4), (2, 6)],
+        [(4, 7), (5, 7), (6, 7), (0, 2), (1, 3)],
+        [(0, 5), (1, 5), (3, 5), (2, 4), (6, 7)],
+        [(3, 7)],
+    ]
+    contacts = [Contact(a, b, t) for t, snapshot in enumerate(pairs) for a, b in snapshot]
+    assert assert_engines_match_oracle(build_tvg(8, 4, contacts)) > 0
 
 
 def test_arrivals_match_oracle_reach():
