@@ -24,7 +24,6 @@ _HOMES = {
     "Contact": "tvg",
     "TemporalNode": "tvg",
     "TvgFormatError": "tvg",
-    "build_tvg": "tvg",
     "churn_rate": "tvg",
     "format_tvg": "tvg",
     "parse_tvg": "tvg",
@@ -36,7 +35,6 @@ _HOMES = {
     "IngestStats": "ingest",
     "ContactLogError": "ingest",
     "parse_contacts": "ingest",
-    "discretize": "ingest",
     "discretize_with_stats": "ingest",
     # generation
     "ErTvgSpec": "synth",

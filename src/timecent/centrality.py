@@ -83,16 +83,9 @@ def default_eval_range(num_instants: int) -> tuple[int, int]:
     return (0, min(num_instants, last))
 
 
-def cover_time(tvg: TVG, t_i: int, thr: CoverageThreshold) -> MetricValue:
-    """Cover time of one instant, a one-instant sweep: mean steps to the threshold, or INF."""
-    if tvg.num_nodes == 0:
-        raise ValueError("TVG has no nodes")
-    need = thr.required_count
-    if need != CoverageThreshold.of(thr.tau, tvg.num_nodes).required_count:
-        raise ValueError(
-            f"threshold of {need} nodes does not match tau={thr.tau} on {tvg.num_nodes} nodes"
-        )
-    return metric_sweep(tvg, MetricSpec.ct(thr.tau), (t_i, t_i + 1)).values[t_i]
+def cover_time(tvg: TVG, t_i: int, tau: Fraction | str) -> MetricValue:
+    """Cover time of one instant for coverage fraction tau, a one-instant sweep."""
+    return metric_sweep(tvg, MetricSpec.ct(tau), (t_i, t_i + 1)).values[t_i]
 
 
 def tcc(tvg: TVG, t_i: int, phi: int) -> Fraction:

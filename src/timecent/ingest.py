@@ -9,6 +9,8 @@ bins are left-closed, so a boundary timestamp belongs to the later bin.
 Both steps run on whole columns: `parse_contacts` splits the text once and
 returns a `ContactColumns`. A line scan runs only when a column check
 fails, to name the first bad line (or to skip blank lines).
+`discretize_with_stats` turns the columns into the TVG's (time, a, b) rows;
+node i's label is `IngestStats.labels[i]`, since the TVG keeps no labels.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def discretize_with_stats(
     rows[:, 0] = (timestamps[accepted] - start) // granularity
     rows[:, 1:] = np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels)).reshape(-1, 2)
     rows[:, 1:].sort(axis=1)
-    tvg = TVG(len(ids), num_instants, rows, dict(enumerate(ids)) or None)
+    tvg = TVG(len(ids), num_instants, rows)
     stats = IngestStats(
         records_read=len(timestamps),
         records_rejected=len(timestamps) - len(rows),
@@ -174,9 +176,3 @@ def discretize_with_stats(
         labels=list(ids),
     )
     return tvg, stats
-
-
-def discretize(columns: ContactColumns, cfg: IngestConfig = IngestConfig()) -> TVG:
-    """Discretize contact columns into a TVG (see discretize_with_stats)."""
-    tvg, _ = discretize_with_stats(columns, cfg)
-    return tvg

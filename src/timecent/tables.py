@@ -2,8 +2,9 @@
 
 A table holds one metric value per instant of an evaluation range. Values
 are exact rationals (Fraction) when a sweep computed them and floats when
-read back from CSV; INF is float('inf'). CSV exports render values as
-their float repr and INF as the literal `inf`.
+read back from CSV; INF is float('inf'), which orders above every finite
+value of either type, so sorting needs no special key. CSV exports render
+values as their float repr and INF as the literal `inf`.
 
 This module imports no numpy, so the commands that only read and write
 tables (dist, rank) start without it.
@@ -44,13 +45,6 @@ class MetricTable:
         return [v for v in self.values.values() if not is_inf(v)]
 
 
-def _sort_key_low(item: tuple[int, MetricValue]) -> tuple[int, MetricValue, int]:
-    t_i, value = item
-    if is_inf(value):
-        return (1, Fraction(0), t_i)
-    return (0, value, t_i)
-
-
 def rank_instants(
     table: MetricTable, k: int, higher_is_better: bool | None = None
 ) -> list[tuple[int, MetricValue]]:
@@ -71,7 +65,7 @@ def rank_instants(
     if higher_is_better:
         items.sort(key=lambda kv: (-kv[1], kv[0]))
     else:
-        items.sort(key=_sort_key_low)
+        items.sort(key=lambda kv: (kv[1], kv[0]))
     return items[:k]
 
 
@@ -123,14 +117,11 @@ def median(values: Sequence[MetricValue]) -> MetricValue:
     """Median with INF ordered above every finite value."""
     if not values:
         raise ValueError("median of empty sequence")
-    ordered = sorted(values, key=lambda v: (1, 0.0) if is_inf(v) else (0, v))
+    ordered = sorted(values)
     mid = len(ordered) // 2
     if len(ordered) % 2 == 1:
         return ordered[mid]
-    lo, hi = ordered[mid - 1], ordered[mid]
-    if is_inf(hi):
-        return INF
-    return (lo + hi) / 2
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 @dataclass(frozen=True)
@@ -143,7 +134,7 @@ class GroupStats:
 
 def group_stats(members: list[tuple[int, MetricValue]]) -> GroupStats:
     vals = [v for _, v in members]
-    ordered = sorted(vals, key=lambda v: (1, 0.0) if is_inf(v) else (0, v))
+    ordered = sorted(vals)
     return GroupStats(tuple(members), ordered[0], median(vals), ordered[-1])
 
 

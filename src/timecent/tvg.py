@@ -13,6 +13,8 @@ rows with a < b, sorted by (time, a, b) without duplicates, and
 num_instants + 1 int64 `offsets`, so the contacts of instant t are rows
 offsets[t] to offsets[t + 1] (CSR over time). An empty instant costs one
 offset. `TVG.snapshots` is a read-only sequence view over those slices.
+A TVG is built from such rows, TVG(num_nodes, num_instants, rows), given
+in any order; `contacts()` yields them back as `Contact` tuples.
 
 Serialized form ("tvg v1"), byte-deterministic for a given TVG:
 
@@ -21,7 +23,8 @@ Serialized form ("tvg v1"), byte-deterministic for a given TVG:
     ...
 
 with a < b on every contact line, lines sorted by (time, a, b), LF line
-endings and a trailing newline. Node labels are not part of the format.
+endings and a trailing newline. Nodes are the integers 0 to num_nodes - 1;
+a contact log's labels stay with its ingestion (`IngestStats.labels`).
 
 The parser reads any order and skips blank lines. A contact line is three
 fields separated by whitespace: any run of the characters str.split()
@@ -36,7 +39,6 @@ import re
 import warnings
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -63,29 +65,13 @@ class TemporalNode(NamedTuple):
     time: TimeIndex
 
 
-@dataclass(frozen=True)
-class Contact:
-    """Undirected co-presence of two distinct nodes at one instant.
-
-    Stored canonically with a < b; construction swaps the endpoints if
-    needed and rejects self-contacts.
-    """
+class Contact(NamedTuple):
+    """Undirected co-presence of nodes a < b at one instant, as
+    TVG.contacts() yields it."""
 
     a: NodeId
     b: NodeId
     time: TimeIndex
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"self-contact on node {self.a} at time {self.time}")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
-
-    @property
-    def pair(self) -> tuple[NodeId, NodeId]:
-        return (self.a, self.b)
 
 
 def check_instants(num_instants: int) -> None:
@@ -170,14 +156,13 @@ class TVG:
     read-only; construct once, then share.
     """
 
-    __slots__ = ("num_nodes", "num_instants", "edges", "offsets", "node_labels")
+    __slots__ = ("num_nodes", "num_instants", "edges", "offsets")
 
     def __init__(
         self,
         num_nodes: int,
         num_instants: int,
         rows: Iterable[tuple[TimeIndex, NodeId, NodeId]] | np.ndarray,
-        node_labels: dict[NodeId, str] | None = None,
     ):
         """`rows` holds (time, a, b) contacts with a < b, in any order;
         duplicates collapse to one."""
@@ -207,19 +192,17 @@ class TVG:
         self.num_instants = num_instants
         self.edges = edges
         self.offsets = offsets
-        self.node_labels = dict(node_labels) if node_labels else None
 
     @classmethod
     def from_snapshot_pairs(
         cls,
         num_nodes: int,
         per_time_pairs: Iterable[Iterable[tuple[NodeId, NodeId]]],
-        node_labels: dict[NodeId, str] | None = None,
     ) -> TVG:
         """Build from one iterable of canonical (a, b) pairs per instant."""
         per_time = list(per_time_pairs)
         rows = [(t, a, b) for t, pairs in enumerate(per_time) for a, b in pairs]
-        return cls(num_nodes, len(per_time), rows, node_labels)
+        return cls(num_nodes, len(per_time), rows)
 
     @property
     def snapshots(self) -> Snapshots:
@@ -251,30 +234,11 @@ class TVG:
             and np.array_equal(self.edges, other.edges)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.num_nodes, self.num_instants, self.edges.tobytes()))
-
     def __repr__(self) -> str:
         return (
             f"TVG(num_nodes={self.num_nodes}, num_instants={self.num_instants}, "
             f"contacts={self.num_contacts()})"
         )
-
-
-def build_tvg(
-    num_nodes: int,
-    num_instants: int,
-    contacts: Iterable[Contact],
-    node_labels: dict[NodeId, str] | None = None,
-) -> TVG:
-    """Assemble a TVG from a contact stream.
-
-    Duplicate contacts are deduplicated silently. Out-of-range node or
-    time indices raise ValueError (self-contacts are rejected by Contact
-    itself).
-    """
-    rows = [(c.time, c.a, c.b) for c in contacts]
-    return TVG(num_nodes, num_instants, rows, node_labels)
 
 
 def churn_rate(tvg: TVG) -> Fraction:

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from timecent import TVG, Contact, TemporalNode, build_tvg, expand, reach_profile, spread_milestones
+from timecent import TVG, TemporalNode, expand, reach_profile, spread_milestones
 from timecent.diffusion import earliest_arrivals
 
 
 @pytest.fixture
 def chain4() -> TVG:
     """4-node TVG {t0: a-b, t1: b-c, t2: c-d} with a=0, b=1, c=2, d=3."""
-    return build_tvg(4, 3, [Contact(0, 1, 0), Contact(1, 2, 1), Contact(2, 3, 2)])
+    return TVG(4, 3, [(0, 0, 1), (1, 1, 2), (2, 2, 3)])
 
 
 def random_tvg(rng: random.Random, max_nodes: int = 10, max_instants: int = 12) -> TVG:

@@ -95,9 +95,9 @@ def test_criterion_1_oracle_equivalence(corpus):
 
 def test_criterion_2_hand_traced_micro_cases(chain4):
     """Exact values on the 4-node chain TVG."""
-    ct_half = cover_time(chain4, 0, CoverageThreshold.of("0.5", 4))
+    ct_half = cover_time(chain4, 0, "0.5")
     tcc_one = tcc(chain4, 0, 1)
-    ct_full_t2 = cover_time(chain4, 2, CoverageThreshold.of("1.0", 4))
+    ct_full_t2 = cover_time(chain4, 2, "1.0")
     ok = ct_half == Fraction(7, 4) and tcc_one == Fraction(3, 8) and ct_full_t2 == INF
     _report(
         "criterion 2 (hand-traced micro cases)",
@@ -232,9 +232,8 @@ def test_criterion_5_structural_properties(corpus):
                 assert ct_01[t_i] <= ct_06[t_i]
     # threshold of one node is met at step zero on the reference regime too
     tvg = _reference_tvg(STAT_SEEDS[0])
-    thr = CoverageThreshold.of(Fraction(1, 160), 160)
     for t_i in (0, 300, 659):
-        assert cover_time(tvg, t_i, thr) == 0
+        assert cover_time(tvg, t_i, Fraction(1, 160)) == 0
     _report(
         "criterion 5 (structural properties)",
         True,
@@ -301,10 +300,9 @@ def test_criterion_7_ingestion_validation(tmp_path):
     relabeled = parse_contacts(f"{t},{mapping[a]},{mapping[b]}" for t, a, b in records)
     other, _ = discretize_with_stats(relabeled, cfg)
     invariant_ok = [len(s) for s in tvg.snapshots] == [len(s) for s in other.snapshots]
-    thr = CoverageThreshold.of("0.5", tvg.num_nodes)
     for t_i in (0, 25, 50, 75, 100):
         invariant_ok &= tcc(tvg, t_i, 5) == tcc(other, t_i, 5)
-        invariant_ok &= cover_time(tvg, t_i, thr) == cover_time(other, t_i, thr)
+        invariant_ok &= cover_time(tvg, t_i, "0.5") == cover_time(other, t_i, "0.5")
     ok = round_trip_ok and bool(invariant_ok)
     _report(
         "criterion 7 (ingestion validation)",

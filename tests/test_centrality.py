@@ -6,23 +6,25 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecent import (
     INF,
-    Contact,
-    CoverageThreshold,
+    IngestConfig,
     MetricSpec,
     MetricTable,
     TVG,
     TemporalNode,
-    build_tvg,
     compare_topk_random,
     cover_time,
     default_eval_range,
+    discretize_with_stats,
     empirical_distribution,
     expand,
     median,
     metric_sweep,
+    parse_contacts,
     rank_instants,
     reach_profile,
     spread_milestones,
@@ -32,6 +34,8 @@ from timecent import diffusion
 from timecent.tables import (
     comparison_summary,
     format_value,
+    group_stats,
+    is_inf,
     read_table_csv,
     write_comparison_csv,
     write_distribution_csv,
@@ -46,25 +50,23 @@ def table_of(values, metric=None, unreached=None):
 
 
 def test_cover_time_micro_exact(chain4):
-    thr = CoverageThreshold.of("0.5", 4)
-    assert cover_time(chain4, 0, thr) == Fraction(7, 4)
+    assert cover_time(chain4, 0, "0.5") == Fraction(7, 4)
+    assert cover_time(chain4, 0, Fraction(1, 2)) == Fraction(7, 4)
 
 
-def test_cover_time_rejects_threshold_for_another_node_count(chain4):
-    for num_nodes in (100, 2):
-        with pytest.raises(ValueError, match="does not match"):
-            cover_time(chain4, 0, CoverageThreshold.of("0.5", num_nodes))
-    assert cover_time(chain4, 0, CoverageThreshold.of("0.5", 4)) == Fraction(7, 4)
+def test_cover_time_rejects_invalid_tau(chain4):
+    for tau in ("0", "1.5", "-0.5", "x", Fraction(0)):
+        with pytest.raises(ValueError, match="tau"):
+            cover_time(chain4, 0, tau)
 
 
 def test_cover_time_inf_when_any_start_fails(chain4):
-    assert cover_time(chain4, 2, CoverageThreshold.of("1.0", 4)) == INF
+    assert cover_time(chain4, 2, "1.0") == INF
 
 
 def test_cover_time_zero_when_one_node_suffices(chain4):
-    thr = CoverageThreshold.of(Fraction(1, 4), 4)
     for t_i in range(3):
-        assert cover_time(chain4, t_i, thr) == 0
+        assert cover_time(chain4, t_i, Fraction(1, 4)) == 0
 
 
 def test_tcc_micro_exact(chain4):
@@ -72,14 +74,14 @@ def test_tcc_micro_exact(chain4):
 
 
 def test_tcc_all_empty_snapshots_is_one_over_v():
-    tvg = build_tvg(5, 3, [])
+    tvg = TVG(5, 3, [])
     for t_i in range(3):
         for phi in (1, 2, 9):
             assert tcc(tvg, t_i, phi) == Fraction(1, 5)
 
 
 def test_tcc_complete_snapshot_saturates():
-    tvg = build_tvg(4, 1, [Contact(a, b, 0) for a in range(4) for b in range(a + 1, 4)])
+    tvg = TVG(4, 1, [(0, a, b) for a in range(4) for b in range(a + 1, 4)])
     assert tcc(tvg, 0, 1) == 1
 
 
@@ -172,7 +174,7 @@ def _assert_cover_top_matches_oracle(tvg):
 
 
 def test_metric_sweep_equals_per_instant_results_degenerate():
-    for tvg in (build_tvg(1, 4, []), build_tvg(5, 6, []), build_tvg(2, 1, [Contact(0, 1, 0)])):
+    for tvg in (TVG(1, 4, []), TVG(5, 6, []), TVG(2, 1, [(0, 0, 1)])):
         for first in range(tvg.num_instants):
             for last in range(first + 1, tvg.num_instants + 1):
                 _assert_sweeps_match_oracle(tvg, first, last)
@@ -185,15 +187,13 @@ def test_metric_sweep_tcc_bounds(chain4):
 
 
 def test_metric_sweep_rejects_empty_node_set():
-    from timecent import discretize, IngestConfig, parse_contacts
-
-    empty = discretize(parse_contacts([]), IngestConfig(30, 0, 59))
+    empty, _ = discretize_with_stats(parse_contacts([]), IngestConfig(30, 0, 59))
     with pytest.raises(ValueError, match="no nodes"):
         metric_sweep(empty, MetricSpec.tcc(1), (0, 2))
     with pytest.raises(ValueError, match="no nodes"):
         tcc(empty, 0, 1)
     with pytest.raises(ValueError, match="no nodes"):
-        cover_time(empty, 0, CoverageThreshold.of("0.5", 4))
+        cover_time(empty, 0, "0.5")
 
 
 def test_metric_sweep_and_single_instant_metrics_refuse_nodes_over_the_cap():
@@ -203,7 +203,7 @@ def test_metric_sweep_and_single_instant_metrics_refuse_nodes_over_the_cap():
         lambda: metric_sweep(tvg, MetricSpec.tcc(1), (0, 2)),
         lambda: metric_sweep(tvg, MetricSpec.ct("0.5"), (0, 1)),
         lambda: tcc(tvg, 0, 1),
-        lambda: cover_time(tvg, 0, CoverageThreshold.of("0.5", tvg.num_nodes)),
+        lambda: cover_time(tvg, 0, "0.5"),
         lambda: spread_milestones(tvg, 0),
     )
     tracemalloc.start()
@@ -224,7 +224,7 @@ def test_single_instant_metrics_hold_memory_near_one_arrival_matrix():
     rows = sorted({(t, *sorted(rng.sample(range(n), 2))) for t in range(big_n) for _ in range(n // 4)})
     tvg = TVG(n, big_n, rows)
     for call in (
-        lambda: cover_time(tvg, 1, CoverageThreshold.of("0.5", n)),
+        lambda: cover_time(tvg, 1, "0.5"),
         lambda: tcc(tvg, 1, 3),
     ):
         tracemalloc.start()
@@ -264,7 +264,7 @@ def test_metric_sweep_range_validation(chain4):
 
 
 def test_metric_sweep_default_range_prefix():
-    tvg = build_tvg(2, 8, [])
+    tvg = TVG(2, 8, [])
     table = metric_sweep(tvg, MetricSpec.tcc(1))
     assert table.eval_range == (0, 7)  # ceil(0.825 * 8)
 
@@ -378,6 +378,51 @@ def test_median_odd_even_inf():
     assert median([Fraction(1), Fraction(3), INF]) == 3
 
 
+def _inf_last_key(value):
+    """The key tables sorted ct values on before relying on math.inf's order."""
+    return (1, 0.0) if is_inf(value) else (0, value)
+
+
+def _reference_rank_low(table, k):
+    items = sorted(table.values.items(), key=lambda kv: (*_inf_last_key(kv[1]), kv[0]))
+    return items[:k]
+
+
+def _reference_median(values):
+    ordered = sorted(values, key=_inf_last_key)
+    mid = len(ordered) // 2
+    if len(ordered) % 2 == 1:
+        return ordered[mid]
+    lo, hi = ordered[mid - 1], ordered[mid]
+    if is_inf(hi):
+        return INF
+    return (lo + hi) / 2
+
+
+def _typed(value):
+    return type(value), value
+
+
+# sweep values (denominators divide n or n^2), the same values read back as
+# floats, and INF, mixed in one table
+_FRACTION = st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 2, 4, 8, 16]))
+_VALUE = st.one_of(_FRACTION, _FRACTION.map(float), st.just(INF))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUE, min_size=1, max_size=24), st.integers(1, 30))
+def test_tables_order_matches_the_inf_last_key(values, k):
+    table = table_of(dict(reversed(list(enumerate(values)))))  # latest instant first
+    ranked = rank_instants(table, k, higher_is_better=False)
+    expected = _reference_rank_low(table, k)
+    assert [(t, *_typed(v)) for t, v in ranked] == [(t, *_typed(v)) for t, v in expected]
+    assert _typed(median(values)) == _typed(_reference_median(values))
+    stats = group_stats(list(enumerate(values)))
+    ordered = sorted(values, key=_inf_last_key)
+    assert stats.minimum is ordered[0] and stats.maximum is ordered[-1]
+    assert _typed(stats.med) == _typed(_reference_median(values))
+
+
 def test_compare_degenerate_equal_values():
     values = {t: Fraction(2) for t in range(20)}
     table = table_of(values, MetricSpec.ct("0.5"))
@@ -428,10 +473,7 @@ def test_cover_time_monotone_in_tau_random():
         tvg = random_tvg(rng)
         t_i = rng.randrange(tvg.num_instants)
         n = tvg.num_nodes
-        values = [
-            cover_time(tvg, t_i, CoverageThreshold.of(Fraction(r, n), n))
-            for r in range(1, n + 1)
-        ]
+        values = [cover_time(tvg, t_i, Fraction(r, n)) for r in range(1, n + 1)]
         for prev, cur in zip(values, values[1:]):
             assert prev <= cur  # INF compares above every Fraction
 

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from timecent import (
     INF,
     TVG,
-    Contact,
     CoverageThreshold,
     MetricSpec,
     TemporalNode,
-    build_tvg,
     cover_time,
     expand,
     metric_sweep,
@@ -51,7 +49,7 @@ def test_trace_final_snapshot_delivers(chain4):
 
 
 def test_trace_empty_snapshots_stay_at_one():
-    tvg = build_tvg(5, 4, [])
+    tvg = TVG(5, 4, [])
     for time in range(4):
         assert spread_milestones(tvg, time) == [[0]] * 5
     assert set(sweep_values(tvg, MetricSpec.tcc(4)).values()) == {Fraction(1, 5)}
@@ -63,7 +61,7 @@ def test_trace_empty_snapshots_stay_at_one():
 
 def test_no_growth_step_does_not_terminate():
     # a quiet snapshot in the middle must not end the diffusion
-    tvg = build_tvg(3, 3, [Contact(0, 1, 0), Contact(1, 2, 2)])
+    tvg = TVG(3, 3, [(0, 0, 1), (2, 1, 2)])
     assert spread_milestones(tvg, 0)[0] == [0, 1, 3]
     assert arrivals_at(tvg, 0)[0] == [-1, 0, 2]
     # starts 0 and 1 inform a second node at step 1, start 2 only at step 3
@@ -72,7 +70,7 @@ def test_no_growth_step_does_not_terminate():
 
 def test_trace_threshold_stops_early():
     # every start informs two nodes at t0, so the flood ends before t1's contact
-    tvg = build_tvg(4, 2, [Contact(0, 1, 0), Contact(2, 3, 0), Contact(1, 2, 1)])
+    tvg = TVG(4, 2, [(0, 0, 1), (0, 2, 3), (1, 1, 2)])
     assert spread_milestones(tvg, 0)[0] == [0, 1, 2]
     assert spread_milestones(tvg, 0, stop_count=2) == [[0, 1]] * 4
     assert sweep_values(tvg, MetricSpec.ct("0.5"))[0] == 1
@@ -84,12 +82,11 @@ def test_trace_step_budget_stops(chain4):
 
 
 def test_trace_invalid_start(chain4):
-    thr = CoverageThreshold.of("0.5", 4)
     for time in (-1, 3):
         with pytest.raises(ValueError):
             spread_milestones(chain4, time)
         with pytest.raises(ValueError):
-            cover_time(chain4, time, thr)
+            cover_time(chain4, time, "0.5")
         with pytest.raises(ValueError):
             tcc(chain4, time, 1)
     with pytest.raises(ValueError):
@@ -124,10 +121,9 @@ def test_milestones_cover_micro(chain4):
 
 
 def test_threshold_of_one_is_met_at_step_zero(chain4):
-    thr = CoverageThreshold.of(Fraction(1, 4), 4)
-    assert thr.required_count == 1
+    assert CoverageThreshold.of(Fraction(1, 4), 4).required_count == 1
     for time in range(3):
-        assert cover_time(chain4, time, thr) == 0
+        assert cover_time(chain4, time, Fraction(1, 4)) == 0
     assert set(sweep_values(chain4, MetricSpec.ct(Fraction(1, 4))).values()) == {0}
 
 
@@ -282,7 +278,7 @@ def test_milestones_max_steps_truncates_consistently():
 
 
 def test_milestones_trivial_threshold():
-    tvg = build_tvg(3, 2, [])
+    tvg = TVG(3, 2, [])
     assert spread_milestones(tvg, 0, stop_count=1) == [[0], [0], [0]]
 
 

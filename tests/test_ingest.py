@@ -9,10 +9,8 @@ import pytest
 from timecent import (
     ContactColumns,
     ContactLogError,
-    CoverageThreshold,
     IngestConfig,
     cover_time,
-    discretize,
     discretize_with_stats,
     parse_contacts,
     tcc,
@@ -105,26 +103,26 @@ def test_ingest_config_validation():
 
 
 def test_discretize_one_record_per_bin():
-    tvg = discretize(records("0,a,b\n30,b,c\n"), IngestConfig(30))
+    tvg = discretize_with_stats(records("0,a,b\n30,b,c\n"), IngestConfig(30))[0]
     assert tvg.num_instants == 2
     assert [len(s) for s in tvg.snapshots] == [1, 1]
 
 
 def test_discretize_dedups_within_bin():
-    tvg = discretize(records("0,a,b\n10,a,b\n"), IngestConfig(30))
+    tvg = discretize_with_stats(records("0,a,b\n10,a,b\n"), IngestConfig(30))[0]
     assert tvg.num_instants == 1
     assert tvg.num_contacts() == 1
 
 
 def test_discretize_boundary_goes_to_later_bin():
-    tvg = discretize(records("0,a,b\n30,a,b\n"), IngestConfig(30))
+    tvg = discretize_with_stats(records("0,a,b\n30,a,b\n"), IngestConfig(30))[0]
     assert tvg.num_instants == 2
     assert [len(s) for s in tvg.snapshots] == [1, 1]
 
 
 def test_discretize_two_week_stream_snapshot_count():
     text = f"0,a,b\n{TWO_WEEKS - 1},b,c\n"
-    tvg = discretize(records(text), IngestConfig(30))
+    tvg = discretize_with_stats(records(text), IngestConfig(30))[0]
     assert tvg.num_instants == 40320
 
 
@@ -135,14 +133,14 @@ def test_discretize_snapshot_count_formula():
         end = start + rng.randint(0, 5000)
         gran = rng.randint(1, 90)
         cfg = IngestConfig(gran, start, end)
-        tvg = discretize(log([(start, "a", "b")]), cfg)
+        tvg = discretize_with_stats(log([(start, "a", "b")]), cfg)[0]
         assert tvg.num_instants == (end - start) // gran + 1
 
 
 def test_discretize_labels_first_appearance_order():
     tvg, stats = discretize_with_stats(records("0,zoe,amy\n1,amy,bob\n"))
     assert stats.labels == ["zoe", "amy", "bob"]
-    assert tvg.node_labels == {0: "zoe", 1: "amy", 2: "bob"}
+    assert tvg.edges.tolist() == [[0, 0, 1], [0, 1, 2]]  # node i is labels[i]
     # a label seen only in rejected records gets no id
     text = "0,zoe,amy\n500,ghost,amy\n1,amy,bob\n-5,bob,ghost\n"
     tvg, stats = discretize_with_stats(records(text), IngestConfig(30, 0, 59))
@@ -166,17 +164,16 @@ def test_discretize_rejects_out_of_range_with_count():
 
 def test_discretize_empty_stream_needs_bounds():
     with pytest.raises(ValueError, match="explicit start and end"):
-        discretize(records(""))
-    tvg = discretize(records(""), IngestConfig(30, 0, 89))
+        discretize_with_stats(records(""))
+    tvg = discretize_with_stats(records(""), IngestConfig(30, 0, 89))[0]
     assert tvg.num_instants == 3
     assert tvg.num_nodes == 0
 
 
 def test_discretize_idempotent_under_duplicates():
     text = "0,a,b\n40,b,c\n"
-    assert discretize(records(text), IngestConfig(30)) == discretize(
-        records(text + text), IngestConfig(30)
-    )
+    once = discretize_with_stats(records(text), IngestConfig(30))[0]
+    assert once == discretize_with_stats(records(text + text), IngestConfig(30))[0]
 
 
 def _random_log(rng: random.Random, labels: list[str], span: int, count: int):
@@ -195,21 +192,20 @@ def test_relabeling_invariance():
     mapping = dict(zip(labels, rng.sample(labels, len(labels))))
     relabeled = [(t, mapping[a], mapping[b]) for t, a, b in recs]
     cfg = IngestConfig(30, 0, 600)
-    a = discretize(log(recs), cfg)
-    b = discretize(log(relabeled), cfg)
+    a = discretize_with_stats(log(recs), cfg)[0]
+    b = discretize_with_stats(log(relabeled), cfg)[0]
     assert a.num_nodes == b.num_nodes
     assert a.num_instants == b.num_instants
     assert [len(s) for s in a.snapshots] == [len(s) for s in b.snapshots]
-    thr_a = CoverageThreshold.of(Fraction(1, 2), a.num_nodes)
     for t_i in (0, a.num_instants // 2, a.num_instants - 1):
         assert tcc(a, t_i, 3) == tcc(b, t_i, 3)
-        assert cover_time(a, t_i, thr_a) == cover_time(b, t_i, thr_a)
+        assert cover_time(a, t_i, Fraction(1, 2)) == cover_time(b, t_i, Fraction(1, 2))
 
 
 def test_discretize_refuses_instant_count_over_the_cap():
     # an outlier timestamp 2e9 s after the first: 66.7 M instants at 30 s bins
     with pytest.raises(ValueError, match="MAX_INSTANTS"):
-        discretize(records("0,a,b\n2000000000,b,c\n"), IngestConfig(30))
+        discretize_with_stats(records("0,a,b\n2000000000,b,c\n"), IngestConfig(30))
     # one past int64, with no window to reject it
     with pytest.raises(ValueError, match="MAX_INSTANTS"):
-        discretize(records(f"0,a,b\n{INT64_PAST},b,c\n"), IngestConfig(30))
+        discretize_with_stats(records(f"0,a,b\n{INT64_PAST},b,c\n"), IngestConfig(30))

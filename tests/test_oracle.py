@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from timecent import Contact, TemporalNode, build_tvg, expand, oracle_reach, spread_milestones
+from timecent import TVG, TemporalNode, expand, oracle_reach, spread_milestones
 from timecent import diffusion
 from timecent.diffusion import earliest_arrivals
 from conftest import assert_engines_match_oracle, random_tvg
@@ -19,13 +19,13 @@ def test_expand_micro_counts(chain4):
 
 
 def test_expand_empty_two_by_two():
-    g = expand(build_tvg(2, 2, []))
+    g = expand(TVG(2, 2, []))
     assert g.num_vertices == 4
     assert g.num_arcs == 2
 
 
 def test_expand_single_instant_has_no_arcs():
-    tvg = build_tvg(3, 1, [])
+    tvg = TVG(3, 1, [])
     g = expand(tvg)
     assert g.num_arcs == 0
     assert g.final_contacts == ()
@@ -60,7 +60,7 @@ def test_oracle_reach_zero_steps_everywhere():
 
 
 def test_oracle_reach_empty_tvg():
-    g = expand(build_tvg(3, 4, []))
+    g = expand(TVG(3, 4, []))
     for steps in (0, 1, 4, 10):
         assert oracle_reach(g, TemporalNode(1, 0), steps) == {1}
 
@@ -91,8 +91,8 @@ def test_engines_match_oracle_on_a_star_and_a_matching_across_chunks(monkeypatch
         [(0, 5), (1, 5), (3, 5), (2, 4), (6, 7)],
         [(3, 7)],
     ]
-    contacts = [Contact(a, b, t) for t, snapshot in enumerate(pairs) for a, b in snapshot]
-    assert assert_engines_match_oracle(build_tvg(8, 4, contacts)) > 0
+    rows = [(t, a, b) for t, snapshot in enumerate(pairs) for a, b in snapshot]
+    assert assert_engines_match_oracle(TVG(8, 4, rows)) > 0
 
 
 def test_arrivals_match_oracle_reach():

@@ -3,8 +3,9 @@
 The references below are the record-at-a-time contact-log parser and
 discretizer and the line loop of the tvg v1 parser that the column parsers
 replaced, kept verbatim apart from returning tuples in place of record
-objects. The column parsers must give the same TVG, node labels and
-counters, or the same exception with the same first-bad-line message.
+objects and building the TVG without labels. The column parsers must give
+the same TVG and counters, node labels included (IngestStats.labels), or
+the same exception with the same first-bad-line message.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ def reference_discretize_with_stats(records, cfg):
         flat += ((timestamp - start) // granularity, a, b)
     rows = np.array(flat, dtype=np.int64).reshape(-1, 3)
     rows[:, 1:].sort(axis=1)
-    labels = {i: label for label, i in ids.items()}
-    tvg = TVG(len(ids), num_instants, rows, labels or None)
+    tvg = TVG(len(ids), num_instants, rows)
     stats = IngestStats(
         records_read=len(items),
         records_rejected=rejected,
@@ -135,7 +135,7 @@ def outcome(call, *args):
 def ingest_outcome(parse, discretize, text, cfg):
     def run():
         tvg, stats = discretize(parse(io.StringIO(text)), cfg)
-        return tvg, tvg.node_labels, stats
+        return tvg, stats
 
     return outcome(run)
 

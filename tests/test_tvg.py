@@ -13,7 +13,6 @@ from timecent import (
     TVG,
     Contact,
     TvgFormatError,
-    build_tvg,
     churn_rate,
     format_tvg,
     load_tvg,
@@ -21,17 +20,6 @@ from timecent import (
     save_tvg,
 )
 from conftest import random_tvg
-
-
-def test_contact_canonical_order():
-    c = Contact(3, 1, 5)
-    assert (c.a, c.b, c.time) == (1, 3, 5)
-    assert c.pair == (1, 3)
-
-
-def test_contact_rejects_self_contact():
-    with pytest.raises(ValueError, match="self-contact"):
-        Contact(2, 2, 0)
 
 
 def test_build_tvg_one_contact_per_snapshot(chain4):
@@ -43,33 +31,34 @@ def test_build_tvg_one_contact_per_snapshot(chain4):
 
 
 def test_build_tvg_empty():
-    tvg = build_tvg(2, 1, [])
+    tvg = TVG(2, 1, [])
     assert tvg.num_instants == 1
     assert len(tvg.snapshots[0]) == 0
 
 
 def test_build_tvg_deduplicates():
-    tvg = build_tvg(3, 2, [Contact(0, 1, 0), Contact(1, 0, 0), Contact(0, 1, 0)])
+    tvg = TVG(3, 2, [(0, 0, 1), (0, 0, 1), (0, 0, 1)])
     assert tvg.num_contacts() == 1
 
 
 def test_build_tvg_range_errors():
     with pytest.raises(ValueError, match="time"):
-        build_tvg(2, 1, [Contact(0, 1, 1)])
+        TVG(2, 1, [(1, 0, 1)])
     with pytest.raises(ValueError, match="node range"):
-        build_tvg(2, 1, [Contact(0, 5, 0)])
+        TVG(2, 1, [(0, 0, 5)])
 
 
 def test_contacts_round_trip():
-    inputs = [Contact(0, 1, 0), Contact(2, 1, 0), Contact(0, 3, 2), Contact(3, 0, 2)]
-    tvg = build_tvg(4, 3, inputs)
-    assert list(tvg.contacts()) == [Contact(0, 1, 0), Contact(1, 2, 0), Contact(0, 3, 2)]
+    tvg = TVG(4, 3, [(2, 0, 3), (0, 1, 2), (0, 0, 1), (2, 0, 3)])
+    contacts = list(tvg.contacts())
+    assert contacts == [Contact(0, 1, 0), Contact(1, 2, 0), Contact(0, 3, 2)]
+    assert [[c.time, c.a, c.b] for c in contacts] == tvg.edges.tolist()
 
 
 def test_neighbors_micro(chain4):
     assert chain4.neighbors(0, 0) == {1}
     assert chain4.neighbors(0, 1) == frozenset()
-    complete = build_tvg(4, 1, [Contact(a, b, 0) for a in range(4) for b in range(a + 1, 4)])
+    complete = TVG(4, 1, [(0, a, b) for a in range(4) for b in range(a + 1, 4)])
     assert complete.neighbors(0, 0) == {1, 2, 3}
 
 
@@ -111,35 +100,35 @@ def test_tvg_constructor_validation():
 
 
 def test_churn_identical_snapshots_is_zero():
-    tvg = build_tvg(4, 3, [Contact(0, 1, t) for t in range(3)])
+    tvg = TVG(4, 3, [(t, 0, 1) for t in range(3)])
     assert churn_rate(tvg) == 0
 
 
 def test_churn_disjoint_flip_is_one():
-    tvg = build_tvg(4, 2, [Contact(0, 1, 0), Contact(2, 3, 1)])
+    tvg = TVG(4, 2, [(0, 0, 1), (1, 2, 3)])
     assert churn_rate(tvg) == 1
 
 
 def test_churn_alternating_disjoint_is_one():
-    contacts = []
+    rows = []
     for t in range(6):
-        contacts.append(Contact(0, 1, t) if t % 2 == 0 else Contact(2, 3, t))
-    assert churn_rate(build_tvg(4, 6, contacts)) == 1
+        rows.append((t, 0, 1) if t % 2 == 0 else (t, 2, 3))
+    assert churn_rate(TVG(4, 6, rows)) == 1
 
 
 def test_churn_partial_overlap():
     # {a-b} then {a-b, c-d}: one pair flips out of two active
-    tvg = build_tvg(4, 2, [Contact(0, 1, 0), Contact(0, 1, 1), Contact(2, 3, 1)])
+    tvg = TVG(4, 2, [(0, 0, 1), (1, 0, 1), (1, 2, 3)])
     assert churn_rate(tvg) == Fraction(1, 2)
 
 
 def test_churn_no_active_pairs_is_zero():
-    assert churn_rate(build_tvg(3, 4, [])) == 0
+    assert churn_rate(TVG(3, 4, [])) == 0
 
 
 def test_churn_needs_two_snapshots():
     with pytest.raises(ValueError):
-        churn_rate(build_tvg(2, 1, []))
+        churn_rate(TVG(2, 1, []))
 
 
 def test_format_micro(chain4):
@@ -241,7 +230,7 @@ def _churn_by_sets(tvg):
 def test_churn_matches_set_reference_random():
     rng = random.Random(21)
     tvgs = [random_tvg(rng, max_instants=rng.choice((2, 12))) for _ in range(60)]
-    tvgs += [build_tvg(4, 2, []), build_tvg(3, 5, []), build_tvg(2, 2, [Contact(0, 1, 1)])]
+    tvgs += [TVG(4, 2, []), TVG(3, 5, []), TVG(2, 2, [(1, 0, 1)])]
     for tvg in tvgs:
         if tvg.num_instants >= 2:
             assert churn_rate(tvg) == _churn_by_sets(tvg)
