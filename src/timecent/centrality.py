@@ -28,7 +28,6 @@ from typing import Literal
 import numpy as np
 
 from .diffusion import (
-    NEVER,
     CoverageThreshold,
     check_phi,
     check_tau,
@@ -102,12 +101,14 @@ def metric_sweep(
 
     One backward pass of diffusion.earliest_arrivals serves every instant;
     each instant's arrival matrix is reduced to its value at once. ct takes
-    per start the required_count-th earliest arrival (a row-wise
-    partition) and reads no snapshot past cover_top of the range's last
-    instant: a diffusion from (u, t), t < last - 1, still holds u at
-    last - 1, so it meets the threshold no later than the one from
-    (u, last - 1). tcc counts the arrivals within phi steps and reads no
-    snapshot past the last instant's budget.
+    per start the required_count-th earliest arrival, by a row-wise
+    partition that after the first instant covers only the rows the
+    instant's snapshot rewrote (no other row's value moves). It reads no
+    snapshot past cover_top of the range's last instant: a diffusion from
+    (u, t), t < last - 1, still holds u at last - 1, so it meets the
+    threshold no later than the one from (u, last - 1). tcc counts the
+    arrivals within phi steps and reads no snapshot past the last
+    instant's budget.
     """
     n = tvg.num_nodes
     if n == 0:
@@ -124,16 +125,25 @@ def metric_sweep(
     if metric.kind == "ct":
         need = CoverageThreshold.of(metric.tau, n).required_count
         top = cover_top(tvg, last - 1, need, tvg.num_instants - 1)
-        for t_i, arrival in earliest_arrivals(tvg, first, last, top):
-            # a copy: a view would keep the partitioned n x n copy alive through the next snapshot
-            cover = np.partition(arrival, need - 1, axis=1)[:, need - 1].copy()
-            unreached[t_i] = int(np.count_nonzero(cover == NEVER))
+        for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
+            if rows is None:
+                # a copy: a view would keep the partitioned n x n copy alive through the next snapshot
+                cover = np.partition(arrival, need - 1, axis=1)[:, need - 1].copy()
+            elif need == 1:
+                cover.fill(t_i - 1)  # the diagonal: every start covers itself at step 0
+            elif len(rows):
+                # only the rewritten rows' need-th arrivals can have moved
+                block = arrival.take(rows, axis=0)
+                block.partition(need - 1, axis=1)
+                cover[rows] = block[:, need - 1]
+                del block  # not held through the next snapshot
+            unreached[t_i] = int(np.count_nonzero(cover > top))
             total = int(cover.sum(dtype=np.int64)) - n * (t_i - 1)
             values[t_i] = INF if unreached[t_i] else Fraction(total, n)
     else:
         phi = metric.phi
         top = min(tvg.num_instants - 1, last - 2 + phi)
-        for t_i, arrival in earliest_arrivals(tvg, first, last, top):
+        for t_i, arrival, _ in earliest_arrivals(tvg, first, last, top):
             within = min(t_i - 1 + phi, top)  # no arrival exceeds top
             values[t_i] = Fraction(int(np.count_nonzero(arrival <= within)), n * n)
             unreached[t_i] = 0

@@ -17,7 +17,8 @@ One engine follows this rule. earliest_arrivals answers every start
 node of every instant of a range in one backward pass over the
 snapshots; every metric of timecent.centrality is a sweep built on it.
 It lays each snapshot out from the TVG's edge slices with numpy, as its
-contact nodes by degree and runs of their k-th neighbours. cover_top
+contact nodes by degree and runs of their k-th neighbours, and names the
+rows each snapshot rewrote, so a ct sweep re-partitions only those. cover_top
 probes how far the diffusions from one instant read until each has
 informed a given count, which bounds a ct sweep.
 spread_milestones reduces one single-instant pass to milestone lists.
@@ -81,25 +82,26 @@ _CHUNK = 1024
 
 
 # Largest node count earliest_arrivals (every metric) accepts: its state is
-# one n x n int32 matrix, 256 MiB at this size. With a snapshot's contact
-# rows and one neighbour gather, a pass peaks near 3x that (768 MiB).
+# one n x n matrix, int16 up to 32,767 instants (128 MiB at this size) and
+# int32 beyond (256 MiB). With a snapshot's contact rows and one neighbour
+# gather, a pass peaks near 3x that (384 or 768 MiB).
 MAX_SWEEP_NODES = 8192
-
-# Arrival entry of a node the flood never informs.
-NEVER = np.iinfo(np.int32).max
 
 
 def earliest_arrivals(
     tvg: TVG, first: int, last: int, top: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, E) for t = last - 1 down to first, from one backward pass.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Yield (t, E, rows) for t = last - 1 down to first, from one backward pass.
 
     Needs 0 <= first < last <= top + 1 <= num_instants.
 
     E[u, v] is the last snapshot index the diffusion from (u, t) consumes
     before v is informed, so v joins at step E[u, v] - t + 1. The diagonal
-    is t - 1 (step 0), and NEVER marks a node not informed through snapshot
-    top; later snapshots are never read.
+    is t - 1 (step 0). A node not informed through snapshot top holds the
+    dtype's maximum, which no arrival reaches, so callers test `> top`;
+    later snapshots are never read. E is int16 when num_instants <= 32767
+    and int32 otherwise, so every arrival, -1 to top, lies below that
+    sentinel.
 
     Flooding from a set is the union of the floods from its members, so
     E_t[u] is the elementwise minimum of E_{t+1}[w] over w in {u} and the
@@ -107,13 +109,22 @@ def earliest_arrivals(
     the rows of its contact nodes, and an empty one costs nothing; the n^2
     work is the caller's reduction at each yielded instant. E is one array
     updated in place: reduce it before the next iteration. It holds n^2
-    int32 entries, so the pass refuses n > MAX_SWEEP_NODES before it starts.
+    entries, so the pass refuses n > MAX_SWEEP_NODES before it starts.
+
+    rows is None at the first yield, where every row is new, and after that
+    snapshot t's distinct contact nodes (empty for an empty snapshot). A
+    row not in rows equals its row at the previous yield, except that its
+    diagonal is now t - 1 instead of t. Its off-diagonal entries are
+    >= t + 1, so the diagonal stays the row's unique minimum and, for
+    k >= 2, the row's k-th smallest entry does not change.
     """
     n = tvg.num_nodes
     if n > MAX_SWEEP_NODES:
         raise ValueError(f"{n} nodes exceed the sweep limit of {MAX_SWEEP_NODES} nodes")
-    arrival = np.full((n, n), NEVER, dtype=np.int32)
+    dtype = np.int16 if tvg.num_instants < 2**15 else np.int32
+    arrival = np.full((n, n), np.iinfo(dtype).max, dtype=dtype)
     diagonal = arrival.reshape(-1)[:: n + 1]
+    no_rows = np.empty(0, dtype=tvg.edges.dtype)  # what an empty snapshot rewrites
     for hi in range(top, first - 1, -_CHUNK):
         lo = max(first, hi - _CHUNK + 1)
         block = tvg.edges[tvg.offsets[lo] : tvg.offsets[hi + 1]]
@@ -141,6 +152,7 @@ def earliest_arrivals(
         runs = runs.tolist()
         for t in range(hi, lo - 1, -1):
             start, end = run_at[t - lo], run_at[t - lo + 1]  # snapshot t's runs
+            nodes = no_rows
             if start < end:
                 nodes = node[runs[start] : runs[start + 1]]
                 # the diagonal is only kept at yields; the rows read here need E_{t+1}[w, w] = t
@@ -153,7 +165,7 @@ def earliest_arrivals(
                 del rows, part  # not held through the caller's reduction
             if t < last:
                 diagonal[:] = t - 1
-                yield t, arrival
+                yield t, arrival, None if t == last - 1 else nodes
 
 
 # cover_top reads 1, 4, 16, ... snapshots per round.
@@ -169,10 +181,10 @@ def cover_top(tvg: TVG, time: int, need: int, limit: int) -> int:
     """
     span = 1
     while (top := time - 1 + span) < limit:
-        _, arrival = next(earliest_arrivals(tvg, time, time + 1, top))
+        _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, top))
         latest = int(np.partition(arrival, need - 1, axis=1)[:, need - 1].max())
         del arrival  # freed before the next probe allocates its own
-        if latest != NEVER:
+        if latest <= top:
             return max(time, latest)
         span *= _GROWTH
     return limit
@@ -203,7 +215,7 @@ def spread_milestones(
     top = time - 1 + max(budget, 1)
     if need is not None:
         top = cover_top(tvg, time, need, top)
-    _, arrival = next(earliest_arrivals(tvg, time, time + 1, top))
+    _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, top))
     steps = np.sort(arrival, axis=1).astype(np.int64) - (time - 1)
     cut = budget if need is None else min(budget, int(steps[:, need - 1].max()))
     counts = np.count_nonzero(steps <= cut, axis=1)

@@ -3,8 +3,8 @@
 A table holds one metric value per instant of an evaluation range. Values
 are exact rationals (Fraction) when a sweep computed them and floats when
 read back from CSV; INF is float('inf'), which orders above every finite
-value of either type, so sorting needs no special key. CSV exports render
-values as their float repr and INF as the literal `inf`.
+value of either type, so sorting needs no special case for it. CSV exports
+render values as their float repr and INF as the literal `inf`.
 
 This module imports no numpy, so the commands that only read and write
 tables (dist, rank) start without it.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, TYPE_CHECKING, Iterable, Literal, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Literal, Sequence
 
 if TYPE_CHECKING:
     from .centrality import MetricSpec
@@ -61,12 +61,29 @@ def rank_instants(
         if table.metric is None:
             raise ValueError("table has no metric kind; pass higher_is_better")
         higher_is_better = table.metric.higher_is_better
+    key = _order_key(table.values.values())
+    sign = -1 if higher_is_better else 1
     items = list(table.values.items())
-    if higher_is_better:
-        items.sort(key=lambda kv: (-kv[1], kv[0]))
-    else:
-        items.sort(key=lambda kv: (kv[1], kv[0]))
+    items.sort(key=lambda kv: (sign * key(kv[1]), kv[0]))
     return items[:k]
+
+
+def _order_key(values: Iterable[MetricValue]) -> Callable[[MetricValue], MetricValue]:
+    """A key that orders the values as they order themselves.
+
+    When every finite value is a Fraction, as in a sweep's table, that is
+    the integer v * L for L the lcm of their denominators, which compares
+    far faster than Fractions do; INF stays math.inf. Float and mixed
+    tables sort on the values themselves.
+    """
+    denominators = set()
+    for v in values:
+        if isinstance(v, Fraction):
+            denominators.add(v.denominator)
+        elif not is_inf(v):
+            return lambda v: v
+    scale = math.lcm(*denominators)
+    return lambda v: v.numerator * (scale // v.denominator) if isinstance(v, Fraction) else v
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def assert_engines_match_oracle(tvg: TVG) -> int:
         (u, t): reach_profile(g, TemporalNode(u, t)) for t in range(big_n) for u in range(n)
     }
     compared = 0
-    for t, arrival in earliest_arrivals(tvg, 0, big_n, big_n - 1):
+    for t, arrival, _ in earliest_arrivals(tvg, 0, big_n, big_n - 1):
         for u, row in enumerate(arrival.tolist()):
             for s, informed in enumerate(profiles[u, t]):
                 within = {v for v, last in enumerate(row) if last <= t - 1 + s}

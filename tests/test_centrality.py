@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from timecent import (
     tcc,
 )
 from timecent import diffusion
+from timecent.diffusion import earliest_arrivals
 from timecent.tables import (
     comparison_summary,
     format_value,
@@ -218,7 +220,7 @@ def test_metric_sweep_and_single_instant_metrics_refuse_nodes_over_the_cap():
 
 
 def test_single_instant_metrics_hold_memory_near_one_arrival_matrix():
-    # 2048 nodes: one int32 arrival matrix is 16 MiB; 512 contacts per snapshot
+    # 2048 nodes: one int16 arrival matrix is 8 MiB; 512 contacts per snapshot
     rng = random.Random(7)
     n, big_n = 2048, 12
     rows = sorted({(t, *sorted(rng.sample(range(n), 2))) for t in range(big_n) for _ in range(n // 4)})
@@ -233,12 +235,12 @@ def test_single_instant_metrics_hold_memory_near_one_arrival_matrix():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 20 * 2**20
 
 
 def test_ct_sweep_holds_no_partitioned_copy_into_the_next_snapshot():
     # 2048 nodes, three perfect matchings per instant: every node has contacts,
-    # so a pass holds the matrix, all its rows and one neighbour gather (3x)
+    # so a pass holds the int16 matrix, all its rows and one neighbour gather (3x)
     rng = random.Random(3)
     n, big_n = 2048, 6
     rows = []
@@ -253,7 +255,7 @@ def test_ct_sweep_holds_no_partitioned_copy_into_the_next_snapshot():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * n * n * 4
+    assert peak < 4 * n * n * 2
 
 
 def test_metric_sweep_range_validation(chain4):
@@ -423,6 +425,35 @@ def test_tables_order_matches_the_inf_last_key(values, k):
     assert _typed(stats.med) == _typed(_reference_median(values))
 
 
+def _value_rank(table, k, higher_is_better):
+    """rank_instants as it sorted before its integer keys: on the values themselves."""
+    items = list(table.values.items())
+    if higher_is_better:
+        items.sort(key=lambda kv: (-kv[1], kv[0]))
+    else:
+        items.sort(key=lambda kv: (kv[1], kv[0]))
+    return items[:k]
+
+
+_SWEPT = st.one_of(st.builds(Fraction, st.integers(0, 60), st.integers(1, 12)), st.just(INF))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_SWEPT, st.booleans()), min_size=1, max_size=24), st.integers(1, 30))
+def test_rank_keys_order_as_the_values_do(drawn, k):
+    # a sweep's table (Fractions and INF, ranked on integer keys), the same
+    # table read back from CSV (floats and INF) and a mix (both on the values)
+    swept = [v for v, _ in drawn]
+    read = [float(v) for v in swept]
+    mixed = [float(v) if as_float else v for v, as_float in drawn]
+    for values in (swept, read, mixed):
+        table = table_of(dict(reversed(list(enumerate(values)))))  # latest instant first
+        for higher_is_better in (False, True):
+            ranked = rank_instants(table, k, higher_is_better)
+            expected = _value_rank(table, k, higher_is_better)
+            assert [(t, *_typed(v)) for t, v in ranked] == [(t, *_typed(v)) for t, v in expected]
+
+
 def test_compare_degenerate_equal_values():
     values = {t: Fraction(2) for t in range(20)}
     table = table_of(values, MetricSpec.ct("0.5"))
@@ -553,6 +584,58 @@ def test_comparison_csv_and_summary():
     assert sum(1 for line in lines if line.startswith("random,")) == 3
     summary = comparison_summary(report)
     assert "top" in summary and "random" in summary and "median=" in summary
+
+
+@pytest.mark.parametrize("num_instants, width", [(32767, np.int16), (32768, np.int32)])
+def test_sweeps_match_across_the_arrival_width_boundary(chain4, num_instants, width):
+    # leading empty instants shift a TVG to the last instants of a TVG whose
+    # matrix is int16 (its sentinel one above the last snapshot) or int32
+    rng = random.Random(32767)
+    for tvg in (chain4, *(random_tvg(rng) for _ in range(6))):
+        n, big_n = tvg.num_nodes, tvg.num_instants
+        pad = num_instants - big_n
+        padded = TVG(n, num_instants, tvg.edges + np.array([pad, 0, 0], dtype=np.int32))
+        _, arrival, _ = next(earliest_arrivals(padded, num_instants - 1, num_instants, num_instants - 1))
+        assert arrival.dtype == width
+        first = rng.randrange(big_n)
+        for lo, hi in ((0, big_n), (first, rng.randint(first + 1, big_n))):
+            specs = [MetricSpec.ct(Fraction(r, n)) for r in range(1, n + 1)]
+            specs += [MetricSpec.tcc(phi) for phi in range(1, big_n + 2)]
+            for spec in specs:
+                table = metric_sweep(tvg, spec, (lo, hi))
+                shifted = metric_sweep(padded, spec, (lo + pad, hi + pad))
+                assert shifted.values == {t + pad: v for t, v in table.values.items()}, spec
+                assert shifted.unreached_starts == {
+                    t + pad: c for t, c in table.unreached_starts.items()
+                }, spec
+
+
+def test_pass_reports_the_rows_each_snapshot_rewrote(monkeypatch):
+    rng = random.Random(1212)
+    tvgs = [random_tvg(rng, max_instants=30) for _ in range(20)]
+    for chunk in (1, 2, 5, diffusion._CHUNK):
+        monkeypatch.setattr(diffusion, "_CHUNK", chunk)
+        for tvg in tvgs:
+            big_n = tvg.num_instants
+            last = rng.randint(1, big_n)
+            first = rng.randrange(last)
+            top = rng.randint(last - 1, big_n - 1)
+            previous = None
+            for t, arrival, rows in earliest_arrivals(tvg, first, last, top):
+                if previous is None:
+                    assert rows is None
+                else:
+                    contact = {u for pair in tvg.snapshots[t].contact_list for u in pair}
+                    assert sorted(rows.tolist()) == sorted(contact), (tvg, t)
+                    kept = [u for u in range(tvg.num_nodes) if u not in contact]
+                    expected = previous.copy()
+                    np.fill_diagonal(expected, t - 1)
+                    assert np.array_equal(arrival[kept], expected[kept]), (tvg, t)
+                previous = arrival.copy()
+        for tvg in tvgs[:5]:
+            last = rng.randint(1, tvg.num_instants)
+            _assert_sweeps_match_oracle(tvg, rng.randrange(last), last)
+        monkeypatch.undo()
 
 
 def test_metric_sweep_is_independent_of_chunking(monkeypatch):

@@ -27,7 +27,7 @@ from conftest import milestones_of, random_tvg
 
 def arrivals_at(tvg: TVG, t: int) -> list[list[int]]:
     """Rows of the earliest-arrival matrix of instant t, from the backward pass."""
-    _, arrival = next(earliest_arrivals(tvg, t, t + 1, tvg.num_instants - 1))
+    _, arrival, _ = next(earliest_arrivals(tvg, t, t + 1, tvg.num_instants - 1))
     return arrival.tolist()
 
 

@@ -105,7 +105,7 @@ def test_arrivals_match_oracle_reach():
         time = rng.randrange(tvg.num_instants)
         budget = rng.randint(0, tvg.num_instants + 2)
         expected = oracle_reach(g, TemporalNode(node, time), budget)
-        _, arrival = next(earliest_arrivals(tvg, time, time + 1, tvg.num_instants - 1))
+        _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, tvg.num_instants - 1))
         assert set(np.flatnonzero(arrival[node] <= time - 1 + budget).tolist()) == expected
         milestones = spread_milestones(tvg, time, max_steps=budget)
         assert len(milestones[node]) == len(expected)
