@@ -9,7 +9,6 @@ codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from importlib import import_module
 from typing import Sequence
@@ -248,7 +247,7 @@ def _sweep(args: argparse.Namespace, config: dict[str, object]) -> MetricTable:
             "metric": metric.label(),
             **config,
             "range": f"{eval_range[0]}:{eval_range[1]}",
-            "workers": args.workers or os.cpu_count() or 1,
+            "workers": args.workers,
             "out": args.out,
         },
     )

@@ -6,17 +6,17 @@ CRLF), with one optional header line recognized by a first field equal to
 record with timestamp s to snapshot floor((s - start) / granularity);
 bins are left-closed, so a boundary timestamp belongs to the later bin.
 
-Both steps run on whole columns: `parse_contacts` splits the text once and
-returns a `ContactColumns`. A line scan runs only when a column check
-fails, to name the first bad line (or to skip blank lines).
-`discretize_with_stats` turns the columns into the TVG's (time, a, b) rows;
-node i's label is `IngestStats.labels[i]`, since the TVG keeps no labels.
+`parse_contacts` reads the lines in one pass into a `ContactColumns`,
+skipping blank lines, and stops at the first bad line, so a bad log is
+refused before the rest of it is read. `discretize_with_stats` turns the
+columns into the TVG's (time, a, b) rows on whole columns; node i's
+label is `IngestStats.labels[i]`, since the TVG keeps no labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -78,49 +78,32 @@ class IngestStats:
 def parse_contacts(src: IO[str] | Iterable[str]) -> ContactColumns:
     """Parse contact records from CSV lines into columns, in input order.
 
-    Labels are preserved verbatim (surrounding whitespace stripped).
-    Raises ContactLogError with the line number on malformed lines,
-    non-integer timestamps, empty labels or self-contacts.
+    One pass over the lines, which stops at the first bad one: it raises
+    ContactLogError with that line's number for a wrong field count, a
+    non-integer timestamp, an empty label or a self-contact. Labels are
+    kept verbatim apart from surrounding whitespace.
     """
-    lines = [raw.rstrip("\r\n") for raw in src]
-    body = lines[1:] if lines and _is_header(lines[0]) else lines
-    try:
-        if not set(map(str.count, body, repeat(","))) <= {2}:
-            raise ValueError("a blank or malformed line")
-        fields = ",".join(body).split(",")
-        timestamps = _integers(fields[0::3])
-        label_a = list(map(str.strip, fields[1::3]))
-        label_b = list(map(str.strip, fields[2::3]))
-        if "" in label_a or "" in label_b or any(map(str.__eq__, label_a, label_b)):
-            raise ValueError("an empty label or a self-contact")
-    except ValueError:
-        return _scan_contacts(lines)
-    return ContactColumns(timestamps, label_a, label_b)
-
-
-def _is_header(line: str) -> bool:
-    return line.split(",")[0].strip().lower() == "timestamp"
-
-
-def _scan_contacts(lines: list[str]) -> ContactColumns:
-    """parse_contacts line by line: skips blank lines and raises at the
-    first bad one."""
     timestamps: list[int] = []
     label_a: list[str] = []
     label_b: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if lineno == 1 and _is_header(line):
-            continue
-        if len(parts) != 3:
-            raise ContactLogError(lineno, "expected 'timestamp,label_a,label_b'")
-        ts_text, a, b = (p.strip() for p in parts)
+    for lineno, line in enumerate(src, start=1):
+        parts = line.split(",")  # the line end is whitespace, stripped off the last field
+        if len(parts) != 3 or lineno == 1:
+            first = parts[0].strip()
+            if len(parts) == 1 and not first:
+                continue  # a blank line
+            if lineno == 1 and first.lower() == "timestamp":
+                continue  # the header
+            if len(parts) != 3:
+                raise ContactLogError(lineno, "expected 'timestamp,label_a,label_b'")
+        ts_text, a, b = parts
+        ts_text = ts_text.strip()  # int() alone would refuse the \x1c-\x1f that strip() drops
         try:
             timestamps.append(int(ts_text))
         except ValueError:
             raise ContactLogError(lineno, f"non-integer timestamp {ts_text!r}") from None
+        a = a.strip()
+        b = b.strip()
         if not a or not b:
             raise ContactLogError(lineno, "empty node label")
         if a == b:

@@ -74,6 +74,12 @@ class Contact(NamedTuple):
     time: TimeIndex
 
 
+def check_nodes(num_nodes: int) -> None:
+    """ValueError unless 0 <= num_nodes <= 2**31 - 1: node ids are int32."""
+    if not 0 <= num_nodes <= np.iinfo(np.int32).max:
+        raise ValueError(f"num_nodes must be in [0, 2**31 - 1], got {num_nodes}")
+
+
 def check_instants(num_instants: int) -> None:
     """ValueError unless 1 <= num_instants <= MAX_INSTANTS."""
     if not 1 <= num_instants <= MAX_INSTANTS:
@@ -166,8 +172,7 @@ class TVG:
     ):
         """`rows` holds (time, a, b) contacts with a < b, in any order;
         duplicates collapse to one."""
-        if not 0 <= num_nodes <= np.iinfo(np.int32).max:  # node ids are int32
-            raise ValueError(f"num_nodes must be in [0, 2**31 - 1], got {num_nodes}")
+        check_nodes(num_nodes)
         check_instants(num_instants)
         rows = _integers(rows)
         if rows.size == 0:
@@ -289,8 +294,6 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
         start = lines.tell() if lines.seekable() else None
     except (AttributeError, OSError):
         start = None
-    if start is None and iter(lines) is lines:
-        lines = list(lines)  # a one-shot iterator: keep its lines for the scan
     it = iter(lines)
     try:
         header = next(it)
@@ -301,11 +304,14 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
         raise TvgFormatError(f"bad header: {header.strip()!r}")
     try:
         num_nodes, num_instants = int(fields[2]), int(fields[3])
-        if num_nodes < 0:
-            raise ValueError("num_nodes must be non-negative")
+        check_nodes(num_nodes)
         check_instants(num_instants)
     except ValueError as exc:
         raise TvgFormatError(f"bad header counts: {header.strip()!r} ({exc})") from None
+    if start is None and it is lines:
+        lines = [header, *it]  # a one-shot iterator: keep its lines for the scan
+        it = iter(lines)
+        next(it)
     try:
         with warnings.catch_warnings():
             # numpy < 2 reads "1.5" as an integer with a DeprecationWarning,

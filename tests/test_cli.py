@@ -242,6 +242,15 @@ def test_sweep_negative_workers_is_usage_error(small_tvg_path, tmp_path, capsys)
         assert "workers" in err
 
 
+def test_sweep_header_echoes_workers_as_given(small_tvg_path, tmp_path, capsys):
+    out = str(tmp_path / "t.csv")
+    for flag, shown in (((), "workers=0 "), (("--workers", "3"), "workers=3 ")):
+        code, stdout, _ = run(capsys, "tcc", str(small_tvg_path), "--phi", "3", *flag,
+                              "--out", out)
+        assert code == 0
+        assert shown in stdout
+
+
 def test_sweep_worker_count_invariance(small_tvg_path, tmp_path, capsys):
     outs = []
     for workers in ("1", "2"):

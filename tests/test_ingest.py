@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,8 @@ def test_parse_preserves_order_and_labels():
         # whitespace around fields is stripped, whitespace inside a label is kept
         (" 0 , alice ,\tbob \n+7,x y,z\u2028\n", [(0, "alice", "bob"), (7, "x y", "z")]),
         ("5,a\x0cb,c\n", [(5, "a\x0cb", "c")]),
+        # str.strip() drops \x1c-\x1f, which int() alone refuses
+        ("\x1c5\x1f,\x1da,b\x1e\n", [(5, "a", "b")]),
     ):
         assert rows(parse_contacts(text.split("\n"))) == expected
 
@@ -65,6 +68,7 @@ def test_parse_error_carries_line_number():
         # a header is recognized on line 1 only
         ("0,a,b\ntimestamp,a,b\n", "line 2: non-integer timestamp 'timestamp'"),
         ("\ntimestamp,a,b\n0,a,b\n", "line 2: non-integer timestamp 'timestamp'"),
+        ("0,a,b\nTIMESTAMP\n", "line 2: expected 'timestamp,label_a,label_b'"),
         # lines of 2 and 4 fields hold 6 fields between them
         ("1,2\n3,4,5,6\n", "line 1: expected"),
         ("0,a,b\n\n1,,b\n", "line 3: empty node label"),
@@ -83,6 +87,33 @@ def test_parse_skips_header():
 def test_parse_crlf_and_blank_lines():
     for text in ("0,a,b\r\n\r\n5,b,c\r\n", "\n0,a,b\n \t\n5,b,c", "0,a,b\r\n\x0c\n5,b,c\n\n"):
         assert rows(parse_contacts(text.split("\n"))) == [(0, "a", "b"), (5, "b", "c")]
+
+
+def test_parse_stops_at_the_first_bad_line():
+    class Unread(Exception):
+        pass
+
+    def lines():
+        yield "0,a,b\n"
+        yield "x,a,b\n"
+        raise Unread("a line after the bad one was requested")
+
+    with pytest.raises(ContactLogError, match="line 2: non-integer timestamp 'x'"):
+        parse_contacts(lines())
+
+
+def test_parse_memory_stays_near_its_result():
+    lines = [f"{t},p{t % 300:03d},q{(7 * t) % 300:03d}\n" for t in range(20_000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = parse_contacts(lines)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.timestamps) == 20_000
+    # the column pass, which listed every line and every field first, peaked at 2.2x
+    assert peak - before < 1.6 * (kept - before)
 
 
 def test_parse_rejects_self_contact():

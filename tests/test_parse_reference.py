@@ -1,11 +1,13 @@
-"""Differential tests: the column parsers against line-by-line references.
+"""Differential tests: the parsers against line-by-line references.
 
 The references below are the record-at-a-time contact-log parser and
-discretizer and the line loop of the tvg v1 parser that the column parsers
-replaced, kept verbatim apart from returning tuples in place of record
-objects and building the TVG without labels. The column parsers must give
-the same TVG and counters, node labels included (IngestStats.labels), or
-the same exception with the same first-bad-line message.
+discretizer that parse_contacts and the column discretizer replaced, and
+the line loop of the tvg v1 parser that its column reader (numpy's
+loadtxt) replaced, kept verbatim apart from returning tuples in place of
+record objects and building the TVG without labels. parse_contacts is a
+line pass too, appending to columns. Each parser must give the same TVG
+and counters, node labels included (IngestStats.labels), or the same
+exception with the same first-bad-line message.
 """
 
 from __future__ import annotations

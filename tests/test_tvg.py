@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -91,6 +92,8 @@ def test_tvg_constructor_validation():
         TVG(2, 3, [(3, 0, 1)])
     with pytest.raises(ValueError, match="num_instants"):
         TVG(2, 0, [])
+    with pytest.raises(ValueError, match=r"num_nodes must be in \[0, 2\*\*31 - 1\]"):
+        TVG(2**31, 1, [])
     with pytest.raises(ValueError, match="node range"):
         TVG(2, 1, [(0, 0, 7)])
     with pytest.raises(ValueError, match="a < b"):
@@ -242,6 +245,17 @@ def test_instant_cap_is_checked_before_allocation():
     with pytest.raises(ValueError, match="MAX_INSTANTS"):
         TVG(3, 10**9, [])
     assert TVG(3, MAX_INSTANTS, [(MAX_INSTANTS - 1, 0, 2)]).num_contacts() == 1
+
+
+def test_node_cap_is_checked_before_the_body_is_read():
+    def body():
+        raise AssertionError("the body was read")
+        yield "0 0 1\n"
+
+    for lines in (chain(["tvg v1 2147483648 3\n"], body()), ["tvg v1 3000000000 3\n"]):
+        with pytest.raises(TvgFormatError, match=r"bad header counts.*2\*\*31 - 1"):
+            parse_tvg(lines)
+    assert parse_tvg(["tvg v1 2147483647 1\n"]).num_nodes == 2**31 - 1
 
 
 def test_many_empty_instants_load_in_bounded_memory():
