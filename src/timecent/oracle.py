@@ -1,21 +1,17 @@
 """Brute-force reachability reference over the time-expanded digraph.
 
 A TVG is equivalent to a static directed graph whose vertices are the
-temporal nodes (v, t). Each contact {u, v} at instant t with t+1 < N
-contributes the arcs (u,t)->(v,t+1) and (v,t)->(u,t+1); every node w
-additionally has a self-progression arc (w,t)->(w,t+1), which encodes
-that informed nodes retain information. All arcs advance exactly one
-instant, so the digraph is acyclic in time and BFS levels correspond to
-diffusion steps.
+temporal nodes (v, t) for t = 0 .. N, where layer N sits one instant past
+the last snapshot and receives what that snapshot delivers. Each contact
+{u, v} at instant t contributes the arcs (u,t)->(v,t+1) and
+(v,t)->(u,t+1); every node w additionally has a self-progression arc
+(w,t)->(w,t+1) for t < N, which encodes that informed nodes retain
+information. All arcs advance exactly one instant, so the digraph is
+acyclic in time and BFS level s from (u, t) is the node set informed
+after s diffusion steps.
 
-Contacts at the final instant have no arcs (there is no instant to point
-at). To stay aligned with the diffusion step rule, which consumes the
-final snapshot and counts its recipients, reachability queries whose step
-budget covers the final instant apply that snapshot's contacts as a
-one-hop closure after the arc walk.
-
-Test-support scale only: the expansion holds |V| * N vertices and is not
-meant for sweeps.
+Test-support scale only: the expansion holds |V| * (N + 1) vertices and
+is not meant for sweeps.
 """
 
 from __future__ import annotations
@@ -30,51 +26,39 @@ from .tvg import TVG, TemporalNode
 class ExpandedDigraph:
     """Static expansion of a TVG over temporal-node vertices.
 
-    Vertex ids are time-major: (v, t) -> t * num_nodes + v. successors
-    holds the out-arcs of every vertex; final_contacts keeps the last
-    snapshot's contacts for the closing hop described above.
+    Vertex ids are time-major: (v, t) -> t * num_nodes + v, for t in
+    0 .. num_instants. successors holds the out-arcs of every vertex.
     """
 
     num_nodes: int
     num_instants: int
     successors: tuple[tuple[int, ...], ...]
-    final_contacts: tuple[tuple[int, int], ...]
 
     @property
     def num_vertices(self) -> int:
-        return self.num_nodes * self.num_instants
+        return self.num_nodes * (self.num_instants + 1)
 
     @property
     def num_arcs(self) -> int:
         return sum(len(s) for s in self.successors)
 
-    def vertex(self, node: int, time: int) -> int:
-        return time * self.num_nodes + node
-
 
 def expand(tvg: TVG) -> ExpandedDigraph:
     """Build the time-expanded digraph of a TVG."""
     n = tvg.num_nodes
-    big_n = tvg.num_instants
-    succ: list[list[int]] = [[] for _ in range(n * big_n)]
-    for t in range(big_n - 1):
-        base = t * n
-        nxt = base + n
-        for w in range(n):
-            succ[base + w].append(nxt + w)
-        for a, b in tvg.snapshots[t].contact_list:
-            succ[base + a].append(nxt + b)
-            succ[base + b].append(nxt + a)
-    final = tvg.snapshots[big_n - 1].contact_list
-    return ExpandedDigraph(n, big_n, tuple(tuple(s) for s in succ), final)
+    succ = [[v + n] for v in range(n * tvg.num_instants)] + [[] for _ in range(n)]
+    for t, a, b in tvg.edges.tolist():
+        succ[t * n + a].append((t + 1) * n + b)
+        succ[t * n + b].append((t + 1) * n + a)
+    return ExpandedDigraph(n, tvg.num_instants, tuple(map(tuple, succ)))
 
 
 def _budget_walk(g: ExpandedDigraph, start: TemporalNode) -> Iterator[set[int]]:
     """Yield the informed node set after each unit of step budget.
 
-    Level s of the BFS sits at instant start.time + s; the set of plain
-    nodes reached at any level so far is the informed set for budget s.
-    The final yield applies the closing hop over the last snapshot.
+    Level s of the BFS sits at instant start.time + s. Every vertex below
+    layer N keeps itself informed, so a level's nodes are the informed set
+    for budget s.
     """
     n = g.num_nodes
     node, time = start
@@ -83,23 +67,10 @@ def _budget_walk(g: ExpandedDigraph, start: TemporalNode) -> Iterator[set[int]]:
     if not 0 <= time < g.num_instants:
         raise ValueError(f"start time {time} out of range [0,{g.num_instants})")
     succ = g.successors
-    frontier = [g.vertex(node, time)]
-    informed = {node}
-    for t in range(time, g.num_instants - 1):
-        nxt: set[int] = set()
-        for v in frontier:
-            nxt.update(succ[v])
-        frontier = list(nxt)
-        informed |= {v % n for v in nxt}
-        yield set(informed)
-    # closing hop: the final snapshot delivers within the last step
-    closed = set(informed)
-    for a, b in g.final_contacts:
-        if a in informed:
-            closed.add(b)
-        if b in informed:
-            closed.add(a)
-    yield closed
+    level = {time * n + node}
+    for _ in range(time, g.num_instants):
+        level = {w for v in level for w in succ[v]}
+        yield {v % n for v in level}
 
 
 def reach_profile(g: ExpandedDigraph, start: TemporalNode) -> list[set[int]]:

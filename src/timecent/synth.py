@@ -29,6 +29,10 @@ REFERENCE_NUM_NODES = 160
 REFERENCE_NUM_INSTANTS = 800
 REFERENCE_EDGE_PROBABILITY = 0.01 * math.log(160) / 160
 
+# Largest expected contact count, p * C(n, 2) * N, of a spec. Generating
+# peaks at about 116 B per contact, so a spec at the cap stays near 500 MiB.
+MAX_EXPECTED_CONTACTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class ErTvgSpec:
@@ -50,6 +54,13 @@ class ErTvgSpec:
         check_instants(self.num_instants)
         if not 0 <= self.edge_probability <= 1:
             raise ValueError("edge_probability must be in [0, 1]")
+        pairs = self.num_nodes * (self.num_nodes - 1) // 2
+        expected = self.edge_probability * pairs * self.num_instants
+        if expected > MAX_EXPECTED_CONTACTS:
+            raise ValueError(
+                f"expected contact count {expected:.4g} (prob * C(nodes, 2) * instants) exceeds "
+                f"{MAX_EXPECTED_CONTACTS} (MAX_EXPECTED_CONTACTS)"
+            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

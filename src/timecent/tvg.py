@@ -219,7 +219,7 @@ class TVG:
             raise ValueError(f"node {node} out of range [0,{self.num_nodes})")
         if not 0 <= time < self.num_instants:
             raise ValueError(f"time {time} out of range [0,{self.num_instants})")
-        a, b = self.snapshots[time].pairs.T
+        _, a, b = self.edges[self.offsets[time] : self.offsets[time + 1]].T
         return frozenset(b[a == node].tolist() + a[b == node].tolist())
 
     def contacts(self) -> Iterator[Contact]:

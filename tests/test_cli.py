@@ -215,6 +215,16 @@ def test_generate_over_the_node_cap_is_a_usage_error(tmp_path):
     assert not (tmp_path / "g.tvg").exists()
 
 
+def test_generate_over_the_contact_cap_is_a_usage_error(tmp_path):
+    # 1.6e11 expected contacts; drawing them would end in a MemoryError traceback
+    child = run_limited(tmp_path, "generate", "--nodes", "2000", "--instants", "8000000",
+                        "--prob", "0.01", "--seed", "1", "--out", "g.tvg")
+    assert child.returncode == 1, child.stderr
+    assert "MAX_EXPECTED_CONTACTS" in child.stderr
+    assert len(child.stderr.splitlines()) == 1
+    assert not (tmp_path / "g.tvg").exists()
+
+
 def test_header_declaring_a_billion_instants_is_a_data_error(tmp_path):
     (tmp_path / "huge.tvg").write_text("tvg v1 3 1000000000\n")
     for argv in (("ct", "huge.tvg", "--tau", "0.1", "--out", "ct.csv"), ("churn", "huge.tvg")):

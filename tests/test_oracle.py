@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from timecent import TVG, TemporalNode, expand, oracle_reach, spread_milestones
+from timecent import TVG, TemporalNode, expand, oracle_reach, reach_profile, spread_milestones
 from timecent import diffusion
 from timecent.diffusion import earliest_arrivals
 from conftest import assert_engines_match_oracle, random_tvg
@@ -13,22 +13,21 @@ from conftest import assert_engines_match_oracle, random_tvg
 
 def test_expand_micro_counts(chain4):
     g = expand(chain4)
-    assert g.num_vertices == 12
-    # 2 contacts before the final instant -> 4 contact arcs, plus 4*2 progression arcs
-    assert g.num_arcs == 2 * 2 + 4 * 2
+    assert g.num_vertices == 16  # 4 nodes in layers 0..3, layer 3 past the last instant
+    # 3 contacts -> 6 contact arcs, plus 4*3 progression arcs
+    assert g.num_arcs == 2 * 3 + 4 * 3
 
 
 def test_expand_empty_two_by_two():
     g = expand(TVG(2, 2, []))
-    assert g.num_vertices == 4
-    assert g.num_arcs == 2
+    assert g.num_vertices == 6
+    assert g.num_arcs == 4
 
 
-def test_expand_single_instant_has_no_arcs():
-    tvg = TVG(3, 1, [])
-    g = expand(tvg)
-    assert g.num_arcs == 0
-    assert g.final_contacts == ()
+def test_expand_single_instant_has_only_progression_arcs():
+    g = expand(TVG(3, 1, []))
+    assert g.num_arcs == 3
+    assert g.successors == ((3,), (4,), (5,), (), (), ())
 
 
 def test_expand_arc_count_formula():
@@ -36,9 +35,10 @@ def test_expand_arc_count_formula():
     for _ in range(40):
         tvg = random_tvg(rng)
         g = expand(tvg)
-        non_final = sum(len(s) for s in tvg.snapshots[:-1])
-        assert g.num_arcs == 2 * non_final + tvg.num_nodes * (tvg.num_instants - 1)
-        assert g.num_vertices == tvg.num_nodes * tvg.num_instants
+        n, big_n = tvg.num_nodes, tvg.num_instants
+        assert g.num_arcs == 2 * tvg.num_contacts() + n * big_n
+        assert g.num_vertices == n * (big_n + 1)
+        assert g.successors[n * big_n :] == ((),) * n  # layer N has no out-arcs
 
 
 def test_oracle_reach_micro(chain4):
@@ -48,6 +48,14 @@ def test_oracle_reach_micro(chain4):
     assert oracle_reach(g, TemporalNode(0, 0), 0) == {0}
     # final-instant contact delivers within the step that consumes it
     assert oracle_reach(g, TemporalNode(3, 2), 1) == {2, 3}
+
+
+def test_oracle_final_instant_only_contact():
+    g = expand(TVG(3, 2, [(1, 0, 1)]))
+    assert g.successors[2 * 3 :] == ((),) * 3
+    assert reach_profile(g, TemporalNode(0, 1)) == [{0}, {0, 1}]
+    assert reach_profile(g, TemporalNode(0, 0)) == [{0}, {0}, {0, 1}]
+    assert oracle_reach(g, TemporalNode(2, 0), 5) == {2}
 
 
 def test_oracle_reach_zero_steps_everywhere():

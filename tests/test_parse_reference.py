@@ -143,16 +143,24 @@ def ingest_outcome(parse, discretize, text, cfg):
 
 
 INT64_EDGES = st.sampled_from([2**63 - 1, 2**63, 2**64 + 7, -(2**63), -(2**63) - 1])
+# str.strip() drops \x1c-\x1f around a number, which int() alone refuses
+PAD = st.sampled_from(["", "", "\x1c", "\x1d", "\x1e", "\x1f", " "])
 TIMESTAMP = st.one_of(
-    st.integers(-40, 400).map(str),
+    st.builds("{}{}{}".format, PAD, st.integers(-40, 400), PAD),
     INT64_EDGES.map(str),
     st.sampled_from(["x", "1.5", " 3 ", "\t+4", "1_0", "\u0663", "", "0x1", "\x0c9"]),
 )
+# a header's first field: skipped only on line 1, whatever the field count
+HEADER_FIELD = st.sampled_from(["timestamp", " Timestamp "])
 LABEL = st.sampled_from(["a", "b", "c", " a", "b ", "", " ", "a\x0cb", "c\u2028", "\u2028", "\u00e9"])
+CONTACT_LINE = st.tuples(TIMESTAMP, LABEL, LABEL).map(",".join)
 LOG_LINE = st.one_of(
-    st.tuples(TIMESTAMP, LABEL, LABEL).map(",".join),
+    CONTACT_LINE,
+    CONTACT_LINE,  # twice: with more lines that parse, a log reaches its later lines
     st.tuples(TIMESTAMP, LABEL).map(",".join),  # misaligned: 2 fields, or 4 below
     st.tuples(TIMESTAMP, LABEL, LABEL, LABEL).map(",".join),
+    st.tuples(HEADER_FIELD, LABEL).map(",".join),
+    st.tuples(HEADER_FIELD, LABEL, LABEL, LABEL).map(",".join),
     st.sampled_from(["", "  ", "\x0c", "timestamp,label_a,label_b", " Timestamp ,a,b"]),
 )
 BOUND = st.one_of(st.none(), st.integers(-40, 400), INT64_EDGES)

@@ -9,11 +9,12 @@ from pathlib import Path
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 TWO_TESTS = '''
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 
-@settings(database=None, max_examples=5)
+# generate only: shrinking and explaining the failure cost the run a second
+@settings(database=None, max_examples=5, phases=[Phase.generate])
 @given(st.integers())
 def test_fails(x):
     assert x != x

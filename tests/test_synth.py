@@ -13,6 +13,7 @@ from timecent import (
     reference_spec,
     snapshot_pairs,
 )
+from timecent.synth import MAX_EXPECTED_CONTACTS
 
 
 def test_p_zero_gives_empty_snapshots():
@@ -40,6 +41,15 @@ def test_spec_validation():
         ErTvgSpec(4, 3, 1.5, 1)
     with pytest.raises(ValueError):
         ErTvgSpec(4, 3, 0.5, -1)
+
+
+def test_spec_refuses_an_expected_contact_count_over_the_cap():
+    # p * C(n, 2) * N: 2.8e14 expected contacts here, about 30 PB at 116 B each
+    with pytest.raises(ValueError, match="MAX_EXPECTED_CONTACTS"):
+        ErTvgSpec(8192, 8388608, 1.0, 1)
+    with pytest.raises(ValueError, match="MAX_EXPECTED_CONTACTS"):
+        ErTvgSpec(2, MAX_EXPECTED_CONTACTS + 1, 1.0, 1)
+    ErTvgSpec(2, MAX_EXPECTED_CONTACTS, 1.0, 1)  # at the cap: accepted, not generated
 
 
 def test_reference_spec_parameters():
