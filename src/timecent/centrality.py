@@ -15,8 +15,10 @@ at that instant performs, averaged over all start nodes:
   Always in [1/|V|, 1]; higher is more central.
 
 Values are exact rationals (Fraction); INF is float('inf'). metric_sweep
-computes them all, cover_time and tcc as one-instant sweeps. Tables,
-rankings, distributions and their CSV files live in the tables module.
+computes them all, cover_time and tcc as one-instant sweeps; a ct sweep
+finds how far its diffusions read by restarting its own pass with a
+larger top. Tables, rankings, distributions and their CSV files live in
+the tables module.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .diffusion import (
     CoverageThreshold,
     check_phi,
     check_tau,
-    cover_top,
     earliest_arrivals,
     spread_milestones,  # noqa: F401  (re-exported: perfbench/traced.py wraps it here)
 )
@@ -103,8 +104,11 @@ def metric_sweep(
     each instant's arrival matrix is reduced to its value at once. ct takes
     per start the required_count-th earliest arrival, by a row-wise
     partition that after the first instant covers only the rows the
-    instant's snapshot rewrote (no other row's value moves). It reads no
-    snapshot past cover_top of the range's last instant: a diffusion from
+    instant's snapshot rewrote (no other row's value moves). Its pass is
+    its own probe: the first reads from top = last - 1. While a start at
+    the first yield (instant last - 1) has not met the threshold by top,
+    the pass is dropped there and run again with top = last - 2 + 4, 16,
+    64, ..., or the last snapshot once that is reached. A diffusion from
     (u, t), t < last - 1, still holds u at last - 1, so it meets the
     threshold no later than the one from (u, last - 1). tcc counts the
     arrivals within phi steps and reads no snapshot past the last
@@ -124,22 +128,30 @@ def metric_sweep(
     unreached: dict[int, int] = {}
     if metric.kind == "ct":
         need = CoverageThreshold.of(metric.tau, n).required_count
-        top = cover_top(tvg, last - 1, need, tvg.num_instants - 1)
-        for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
-            if rows is None:
-                # a copy: a view would keep the partitioned n x n copy alive through the next snapshot
-                cover = np.partition(arrival, need - 1, axis=1)[:, need - 1].copy()
-            elif need == 1:
-                cover.fill(t_i - 1)  # the diagonal: every start covers itself at step 0
-            elif len(rows):
-                # only the rewritten rows' need-th arrivals can have moved
-                block = arrival.take(rows, axis=0)
-                block.partition(need - 1, axis=1)
-                cover[rows] = block[:, need - 1]
-                del block  # not held through the next snapshot
-            unreached[t_i] = int(np.count_nonzero(cover > top))
-            total = int(cover.sum(dtype=np.int64)) - n * (t_i - 1)
-            values[t_i] = INF if unreached[t_i] else Fraction(total, n)
+        span, limit = 1, tvg.num_instants - 1
+        while True:
+            top = min(last - 2 + span, limit)
+            for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
+                if rows is None:
+                    # a copy: a view would keep the partitioned n x n copy alive through the next snapshot
+                    cover = np.partition(arrival, need - 1, axis=1)[:, need - 1].copy()
+                    if top < limit and cover.max() > top:
+                        break  # a start is short of need: restart with a larger top
+                elif need == 1:
+                    cover.fill(t_i - 1)  # the diagonal: every start covers itself at step 0
+                elif len(rows):
+                    # only the rewritten rows' need-th arrivals can have moved
+                    block = arrival.take(rows, axis=0)
+                    block.partition(need - 1, axis=1)
+                    cover[rows] = block[:, need - 1]
+                    del block  # not held through the next snapshot
+                unreached[t_i] = int(np.count_nonzero(cover > top))
+                total = int(cover.sum(dtype=np.int64)) - n * (t_i - 1)
+                values[t_i] = INF if unreached[t_i] else Fraction(total, n)
+            else:
+                break
+            del arrival  # freed before the next round allocates its own
+            span *= 4
     else:
         phi = metric.phi
         top = min(tvg.num_instants - 1, last - 2 + phi)

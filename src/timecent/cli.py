@@ -292,6 +292,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise _UsageError("k must be at least 1")
+    if args.seed < 0:  # numpy's generator would refuse it only after the sweep
+        raise _UsageError("seed must be non-negative")
     table = _sweep(args, {"k": args.k, "seed": args.seed})
     report = compare_topk_random(table, args.k, args.seed)
     _write_text(args.out, lambda fh: write_comparison_csv(report, fh))

@@ -18,10 +18,11 @@ node of every instant of a range in one backward pass over the
 snapshots; every metric of timecent.centrality is a sweep built on it.
 It lays each snapshot out from the TVG's edge slices with numpy, as its
 contact nodes by degree and runs of their k-th neighbours, and names the
-rows each snapshot rewrote, so a ct sweep re-partitions only those. cover_top
-probes how far the diffusions from one instant read until each has
-informed a given count, which bounds a ct sweep.
-spread_milestones reduces one single-instant pass to milestone lists.
+rows each snapshot rewrote, so a ct sweep re-partitions only those. It
+lays out the snapshots its first yield reads apart from the rest, so a
+ct sweep that drops a pass there to restart with a later top has laid
+out no more. spread_milestones reduces one single-instant pass to
+milestone lists.
 The time-expanded oracle (timecent.oracle) is the independent reference
 the tests check the engine against.
 """
@@ -125,8 +126,9 @@ def earliest_arrivals(
     arrival = np.full((n, n), np.iinfo(dtype).max, dtype=dtype)
     diagonal = arrival.reshape(-1)[:: n + 1]
     no_rows = np.empty(0, dtype=tvg.edges.dtype)  # what an empty snapshot rewrites
-    for hi in range(top, first - 1, -_CHUNK):
-        lo = max(first, hi - _CHUNK + 1)
+    # chunks above the first yield stop at it, so a caller that stops there lays out no more
+    for hi in (*range(top, last - 2, -_CHUNK), *range(last - 2, first - 1, -_CHUNK)):
+        lo = max(first if hi < last - 1 else last - 1, hi - _CHUNK + 1)
         block = tvg.edges[tvg.offsets[lo] : tvg.offsets[hi + 1]]
         # one arc per contact end, grouped by (time, node)
         time = np.concatenate((block[:, 0], block[:, 0]))
@@ -168,28 +170,6 @@ def earliest_arrivals(
                 yield t, arrival, None if t == last - 1 else nodes
 
 
-# cover_top reads 1, 4, 16, ... snapshots per round.
-_GROWTH = 4
-
-
-def cover_top(tvg: TVG, time: int, need: int, limit: int) -> int:
-    """Last snapshot the diffusions from `time` read to inform `need` nodes each.
-
-    Needs 1 <= need <= num_nodes. Runs single-instant passes whose top grows
-    x4 from `time` until every start meets need, then returns max(time, the
-    latest need-th arrival); `limit` if the next pass's top would reach it.
-    """
-    span = 1
-    while (top := time - 1 + span) < limit:
-        _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, top))
-        latest = int(np.partition(arrival, need - 1, axis=1)[:, need - 1].max())
-        del arrival  # freed before the next probe allocates its own
-        if latest <= top:
-            return max(time, latest)
-        span *= _GROWTH
-    return limit
-
-
 def spread_milestones(
     tvg: TVG, time: int, *, max_steps: int | None = None, stop_count: int | None = None
 ) -> list[list[int]]:
@@ -201,7 +181,7 @@ def spread_milestones(
     is spent; with stop_count, only to the first step by which every start
     has informed stop_count nodes, if there is one. They are the sorted
     rows of one single-instant earliest_arrivals pass (arrival a is step
-    a - time + 1), which with stop_count reads to cover_top's snapshot.
+    a - time + 1) over the whole budget.
     """
     if not 0 <= time < tvg.num_instants:
         raise ValueError(f"time {time} out of range [0,{tvg.num_instants})")
@@ -212,10 +192,7 @@ def spread_milestones(
     if need is not None and need > tvg.num_nodes:
         need = None  # never met
     # step s reads snapshot time - 1 + s; a zero budget still reads one
-    top = time - 1 + max(budget, 1)
-    if need is not None:
-        top = cover_top(tvg, time, need, top)
-    _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, top))
+    _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, time - 1 + max(budget, 1)))
     steps = np.sort(arrival, axis=1).astype(np.int64) - (time - 1)
     cut = budget if need is None else min(budget, int(steps[:, need - 1].max()))
     counts = np.count_nonzero(steps <= cut, axis=1)

@@ -140,7 +140,7 @@ def discretize_with_stats(
         check_instants(num_instants)
     except ValueError as exc:
         raise ValueError(f"timestamps {start} to {end} in {granularity} s bins: {exc}") from None
-    if max(-start, end, end - start) >= 1 << 63:
+    if max(-start, end, end - start, granularity) >= 1 << 63:
         timestamps = timestamps.astype(object)  # the window needs Python ints
     accepted = (timestamps >= start) & (timestamps <= end)
     # the labels of the accepted records, interleaved a, b

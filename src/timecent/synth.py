@@ -104,8 +104,13 @@ def snapshot_pairs(spec: ErTvgSpec, index: int) -> list[tuple[int, int]]:
 
 def generate_er_tvg(spec: ErTvgSpec) -> TVG:
     """Generate the randomized TVG described by `spec`."""
-    hits = [_snapshot_hits(spec, i) for i in range(spec.num_instants)]
-    times = np.repeat(np.arange(spec.num_instants), [len(h) for h in hits])
-    ends_a, ends_b = _pair_ends(spec.num_nodes, np.concatenate(hits))
-    rows = np.column_stack((times, ends_a, ends_b))
-    return TVG(spec.num_nodes, spec.num_instants, rows)
+    n = spec.num_nodes
+    pairs = max(n * (n - 1) // 2, 1)
+    keys = bytearray()  # int64 i * pairs + pair index (below 2^48) per contact of snapshot i
+    if n >= 2 and spec.edge_probability > 0:  # otherwise no snapshot has a contact
+        for i in range(spec.num_instants):
+            keys += (_snapshot_hits(spec, i).astype(np.int64) + i * pairs).tobytes()
+    times, hits = np.divmod(np.frombuffer(keys, dtype=np.int64), pairs)
+    del keys
+    ends_a, ends_b = _pair_ends(n, hits)
+    return TVG(n, spec.num_instants, np.column_stack((times, ends_a, ends_b)))

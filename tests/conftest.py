@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from timecent import TVG, TemporalNode, expand, reach_profile, spread_milestones
 from timecent.diffusion import earliest_arrivals
+
+
+def child_env() -> dict[str, str]:
+    """This environment with the repository's src first on PYTHONPATH, for child processes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
 @pytest.fixture

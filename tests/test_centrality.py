@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -31,7 +32,7 @@ from timecent import (
     spread_milestones,
     tcc,
 )
-from timecent import diffusion
+from timecent import centrality, diffusion
 from timecent.diffusion import earliest_arrivals
 from timecent.tables import (
     comparison_summary,
@@ -132,7 +133,7 @@ def _assert_sweeps_match_oracle(tvg, first, last):
             assert table.unreached_starts[t_i] == 0
 
 
-def test_metric_sweep_equals_per_instant_results_random():
+def test_metric_sweep_equals_per_instant_results_random(monkeypatch):
     rng = random.Random(4242)
     for _ in range(80):
         tvg = random_tvg(rng)
@@ -148,31 +149,58 @@ def test_metric_sweep_equals_per_instant_results_random():
         last = rng.randint(1, max(1, tvg.num_instants // 3))
         first = rng.randrange(last)
         _assert_sweeps_match_oracle(tvg, first, last)
-        tops = _assert_cover_top_matches_oracle(tvg)
-        early += any(tops[last - 1, r] < tvg.num_instants - 1 for r in range(2, tvg.num_nodes + 1))
+        tops = _assert_ct_tops_follow_the_oracle(tvg, first, last, monkeypatch)
+        early += any(tops[r] < tvg.num_instants - 1 for r in range(2, tvg.num_nodes + 1))
     assert early >= 10
 
 
-def _assert_cover_top_matches_oracle(tvg):
-    """cover_top of every instant t and count r, with the last snapshot as
-    limit, is max(t, t - 1 + the latest first budget at which an oracle
-    reach profile from t holds r nodes) when a probe top below the limit
-    reaches that snapshot, and the limit otherwise. Returns the tops by
-    (t, r)."""
+def _assert_ct_tops_follow_the_oracle(tvg, first, last, monkeypatch):
+    """The tops of the passes a ct sweep of [first, last) runs for count r
+    are last - 2 + 1, 4, 16, ... up to the first that reaches the latest
+    snapshot at which an oracle reach profile from last - 1 holds r nodes,
+    each capped at the last snapshot, where the rounds also end when a
+    start never holds r nodes. Returns the final top by r."""
     g = expand(tvg)
     n, limit = tvg.num_nodes, tvg.num_instants - 1
-    tops = {}
-    for t in range(tvg.num_instants):
-        rows = [[len(s) for s in reach_profile(g, TemporalNode(u, t))] for u in range(n)]
-        probes = [t - 1 + 4**k for k in range(limit + 1) if t - 1 + 4**k < limit]
-        for r in range(1, n + 1):
-            steps = [next((s for s, c in enumerate(row) if c >= r), None) for row in rows]
-            top = tops[t, r] = diffusion.cover_top(tvg, t, r, limit)
-            if None in steps or not any(p >= t - 1 + max(steps) for p in probes):
-                assert top == limit, (t, r)
-            else:
-                assert top == max(t, t - 1 + max(steps)), (t, r)
-    return tops
+    rows = [[len(s) for s in reach_profile(g, TemporalNode(u, last - 1))] for u in range(n)]
+    tops = []
+    real = centrality.earliest_arrivals
+
+    def recorded(tvg, first, last, top):
+        tops.append(top)
+        return real(tvg, first, last, top)
+
+    monkeypatch.setattr(centrality, "earliest_arrivals", recorded)
+    final = {}
+    for r in range(1, n + 1):
+        steps = [next((s for s, c in enumerate(row) if c >= r), None) for row in rows]
+        # step s reads snapshot last - 2 + s
+        latest = math.inf if None in steps else last - 2 + max(steps)
+        expected = [min(last - 2 + 4**k, limit) for k in range(limit + 1)]
+        expected = expected[: next(i for i, top in enumerate(expected) if top >= min(latest, limit)) + 1]
+        tops.clear()
+        metric_sweep(tvg, MetricSpec.ct(Fraction(r, n)), (first, last))
+        assert tops == expected, (r, first, last, tvg)
+        final[r] = tops[-1]
+    monkeypatch.undo()
+    return final
+
+
+def test_ct_sweep_whose_first_round_meets_need_runs_one_pass(monkeypatch):
+    # snapshot 2 is complete: every start at instant 2 informs all 4 nodes by snapshot 2
+    tvg = TVG(4, 10, [(2, a, b) for a in range(4) for b in range(a + 1, 4)])
+    passes = []
+    real = centrality.earliest_arrivals
+
+    def recorded(*args):
+        passes.append(args)
+        return real(*args)
+
+    for module in (centrality, diffusion):  # every pass, wherever it is started
+        monkeypatch.setattr(module, "earliest_arrivals", recorded)
+    table = metric_sweep(tvg, MetricSpec.ct("1"), (0, 3))
+    assert passes == [(tvg, 0, 3, 2)]
+    assert table.values == {0: 3, 1: 2, 2: 1}
 
 
 def test_metric_sweep_equals_per_instant_results_degenerate():

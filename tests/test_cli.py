@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import os
 import resource
 import subprocess
 import sys
@@ -13,6 +12,7 @@ import pytest
 import timecent
 import timecent.cli as cli
 from timecent.cli import main
+from conftest import child_env
 
 
 def run(capsys, *argv):
@@ -110,6 +110,17 @@ def test_ingest_reports_rejections(tmp_path, capsys):
     assert "rejected 1 of 2" in stdout
 
 
+def test_ingest_granularity_past_int64_gives_one_instant(tmp_path, capsys):
+    # a bin wider than any int64 span puts every record in instant 0
+    log = tmp_path / "contacts.csv"
+    log.write_text("-7,a,b\n100,b,c\n")
+    out = tmp_path / "m.tvg"
+    code, _, err = run(capsys, "ingest", str(log), "--granularity", str(2**63),
+                       "--out", str(out))
+    assert code == 0, err
+    assert out.read_text() == "tvg v1 3 1\n0 0 1\n0 1 2\n"
+
+
 def test_ingest_reads_a_byte_order_mark(tmp_path, capsys):
     text = "timestamp,label_a,label_b\r\n0,ann,bea\r\n45,bea,cal\r\n"
     outs = []
@@ -160,7 +171,8 @@ def test_ct_invalid_tau_and_range(small_tvg_path, tmp_path, capsys):
     for argv in (("ct", "--tau", "1/0"), ("ct", "--tau", "abc"), ("ct", "--tau", "1.5"),
                  ("tcc", "--phi", "0"),
                  ("compare", "--metric", "ct", "--tau", "0", "--seed", "1"),
-                 ("compare", "--metric", "tcc", "--phi", "-2", "--seed", "1")):
+                 ("compare", "--metric", "tcc", "--phi", "-2", "--seed", "1"),
+                 ("compare", "--metric", "tcc", "--phi", "3", "--seed", "-1")):
         assert run(capsys, argv[0], str(small_tvg_path), *argv[1:],
                    "--out", str(out))[0] == 1, argv
 
@@ -179,12 +191,6 @@ def test_sweep_refuses_node_count_over_the_cap(tmp_path, capsys):
 
 def _limited_to_1_gib() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-
-def child_env() -> dict[str, str]:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
 def run_limited(tmp_path, *argv):

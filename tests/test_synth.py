@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -14,6 +16,7 @@ from timecent import (
     snapshot_pairs,
 )
 from timecent.synth import MAX_EXPECTED_CONTACTS
+from conftest import child_env
 
 
 def test_p_zero_gives_empty_snapshots():
@@ -121,3 +124,21 @@ def test_generate_holds_no_pair_table():
     assert tvg.num_nodes == 4096
     assert peak - before < 96 * 2**20
     assert after - before < 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_generating_a_million_empty_snapshots_stays_small():
+    # importing numpy alone peaks near 28 MiB; nothing is drawn or kept per snapshot.
+    # The child reads its own VmHWM: its ru_maxrss would start from this process's.
+    code = (
+        "from timecent import ErTvgSpec, generate_er_tvg\n"
+        "tvg = generate_er_tvg(ErTvgSpec(2, 1_000_000, 0.0, 1))\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1].split()\n"
+        "print(tvg.num_contacts(), status[0])\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    contacts, peak_kib = map(int, child.stdout.split())
+    assert contacts == 0
+    assert peak_kib <= 64 * 1024
