@@ -20,7 +20,6 @@ _HOMES = {
     # model
     "MAX_INSTANTS": "tvg",
     "TVG": "tvg",
-    "Snapshot": "tvg",
     "Contact": "tvg",
     "TemporalNode": "tvg",
     "TvgFormatError": "tvg",
@@ -40,7 +39,6 @@ _HOMES = {
     "ErTvgSpec": "synth",
     "generate_er_tvg": "synth",
     "reference_spec": "synth",
-    "snapshot_pairs": "synth",
     # diffusion
     "CoverageThreshold": "diffusion",
     "spread_milestones": "diffusion",

@@ -85,7 +85,7 @@ def _write_text(path: str, writer) -> None:
 
 
 # A sweep is one single-threaded pass; the flag is kept so that existing
-# command lines still run, and is echoed in the header (0 = all cores).
+# command lines still run, and its value is echoed in the header as given.
 WORKERS_HELP = "accepted for compatibility, no effect on the sweep"
 
 
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args: argparse.Namespace) -> int:
     try:
         if args.reference_defaults:
-            if args.nodes or args.instants or args.prob is not None:
+            if args.nodes is not None or args.instants is not None or args.prob is not None:
                 raise _UsageError("--reference-defaults excludes --nodes/--instants/--prob")
             spec = reference_spec(args.seed)
         else:

@@ -94,14 +94,6 @@ def _snapshot_hits(spec: ErTvgSpec, index: int) -> np.ndarray:
     return np.nonzero(draws < spec.edge_probability)[0]
 
 
-def snapshot_pairs(spec: ErTvgSpec, index: int) -> list[tuple[int, int]]:
-    """Contacts of snapshot `index`, drawn from its own seeded substream."""
-    if not 0 <= index < spec.num_instants:
-        raise ValueError(f"snapshot index {index} out of range")
-    ends_a, ends_b = _pair_ends(spec.num_nodes, _snapshot_hits(spec, index))
-    return list(zip(ends_a.tolist(), ends_b.tolist()))
-
-
 def generate_er_tvg(spec: ErTvgSpec) -> TVG:
     """Generate the randomized TVG described by `spec`."""
     n = spec.num_nodes

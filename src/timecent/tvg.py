@@ -213,15 +213,6 @@ class TVG:
     def snapshots(self) -> Snapshots:
         return Snapshots(self)
 
-    def neighbors(self, node: NodeId, time: TimeIndex) -> frozenset[NodeId]:
-        """Nodes in contact with `node` at instant `time`."""
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} out of range [0,{self.num_nodes})")
-        if not 0 <= time < self.num_instants:
-            raise ValueError(f"time {time} out of range [0,{self.num_instants})")
-        _, a, b = self.edges[self.offsets[time] : self.offsets[time + 1]].T
-        return frozenset(b[a == node].tolist() + a[b == node].tolist())
-
     def contacts(self) -> Iterator[Contact]:
         """All contacts in (time, a, b) order."""
         for t, a, b in self.edges.tolist():

@@ -35,6 +35,15 @@ def random_tvg(rng: random.Random, max_nodes: int = 10, max_instants: int = 12) 
     return TVG.from_snapshot_pairs(n, per_time)
 
 
+def snapshot_adjacency(tvg: TVG, t: int) -> list[set[int]]:
+    """Neighbour set of every node at instant t, read from the TVG's columns."""
+    adjacent: list[set[int]] = [set() for _ in range(tvg.num_nodes)]
+    for _, a, b in tvg.edges[tvg.offsets[t] : tvg.offsets[t + 1]].tolist():
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    return adjacent
+
+
 def milestones_of(profile: list[set[int]]) -> list[int]:
     """Milestone list of an oracle reach profile: entry k is the first budget
     whose informed set holds k + 1 nodes, as spread_milestones reports it."""

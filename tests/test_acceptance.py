@@ -35,7 +35,7 @@ from timecent import (
 )
 from timecent.cli import main as cli_main
 from timecent.synth import REFERENCE_EDGE_PROBABILITY, REFERENCE_NUM_NODES
-from conftest import assert_engines_match_oracle, random_tvg
+from conftest import assert_engines_match_oracle, random_tvg, snapshot_adjacency
 from er_chain import expected_hitting_time, expected_informed_fraction
 
 EQUIVALENCE_SEED = 20260808
@@ -242,16 +242,16 @@ def test_criterion_5_structural_properties(corpus):
 
 
 def _is_connected(tvg, t_i: int) -> bool:
-    n = tvg.num_nodes
+    adjacent = snapshot_adjacency(tvg, t_i)
     seen = {0}
     stack = [0]
     while stack:
         u = stack.pop()
-        for v in tvg.neighbors(u, t_i):
+        for v in adjacent[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == n
+    return len(seen) == tvg.num_nodes
 
 
 def test_criterion_6_generator_regime():

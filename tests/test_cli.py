@@ -62,9 +62,11 @@ def test_generate_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--seed", "1", "--out", str(tmp_path / "x"))
     assert code == 1
     assert "error" in err
-    code, _, err = run(capsys, "generate", "--reference-defaults", "--nodes", "5",
-                       "--seed", "1", "--out", str(tmp_path / "x"))
-    assert code == 1
+    for given in (["--nodes", "5"], ["--nodes", "0"], ["--instants", "0"],
+                  ["--nodes", "0", "--instants", "0"]):
+        code, _, err = run(capsys, "generate", "--reference-defaults", *given,
+                           "--seed", "1", "--out", str(tmp_path / "x"))
+        assert code == 1, given
     code, _, err = run(capsys, "generate", "--nodes", "5", "--instants", "4",
                        "--prob", "1.7", "--seed", "1", "--out", str(tmp_path / "x"))
     assert code == 1

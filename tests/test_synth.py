@@ -6,17 +6,25 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from timecent import (
-    ErTvgSpec,
-    format_tvg,
-    generate_er_tvg,
-    reference_spec,
-    snapshot_pairs,
-)
+from timecent import ErTvgSpec, format_tvg, generate_er_tvg, reference_spec
 from timecent.synth import MAX_EXPECTED_CONTACTS
 from conftest import child_env
+
+
+def contract_edges(spec: ErTvgSpec) -> list[list[int]]:
+    """(time, a, b) rows of `spec` drawn as README's RNG contract states:
+    snapshot i from PCG64 seeded with SeedSequence((seed, i)), one uniform
+    per pair of combinations(range(n), 2), a contact when it is below p."""
+    pairs = list(itertools.combinations(range(spec.num_nodes), 2))
+    rows = []
+    for i in range(spec.num_instants):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, i))))
+        draws = rng.random(len(pairs)).tolist()
+        rows += [[i, a, b] for (a, b), u in zip(pairs, draws) if u < spec.edge_probability]
+    return rows
 
 
 def test_p_zero_gives_empty_snapshots():
@@ -79,13 +87,9 @@ def test_different_seeds_differ():
 
 
 def test_snapshots_are_independent_substreams():
-    """Any snapshot can be regenerated alone, enabling parallel generation."""
-    spec = ErTvgSpec(25, 40, 0.08, seed=9)
-    tvg = generate_er_tvg(spec)
-    for i in (0, 7, 39):
-        assert frozenset(snapshot_pairs(spec, i)) == frozenset(tvg.snapshots[i].contact_list)
-    with pytest.raises(ValueError):
-        snapshot_pairs(spec, 40)
+    """Each snapshot is drawn from its own seeded substream, as the contract states."""
+    for spec in (ErTvgSpec(25, 40, 0.08, 9), ErTvgSpec(12, 30, 0.3, 3), ErTvgSpec(25, 40, 0.0, 9)):
+        assert generate_er_tvg(spec).edges.tolist() == contract_edges(spec), spec
 
 
 def test_mean_contacts_matches_expectation():
@@ -107,7 +111,8 @@ def test_contact_pairs_are_canonical():
 def test_pair_indices_map_to_lexicographic_pairs():
     # with p = 1 every pair index is hit, in order
     for n in range(1, 41):
-        assert snapshot_pairs(ErTvgSpec(n, 1, 1.0, 1), 0) == list(itertools.combinations(range(n), 2))
+        spec = ErTvgSpec(n, 3, 1.0, 1)
+        assert generate_er_tvg(spec).edges.tolist() == contract_edges(spec), n
 
 
 def test_generate_holds_no_pair_table():

@@ -56,37 +56,6 @@ def test_contacts_round_trip():
     assert [[c.time, c.a, c.b] for c in contacts] == tvg.edges.tolist()
 
 
-def test_neighbors_micro(chain4):
-    assert chain4.neighbors(0, 0) == {1}
-    assert chain4.neighbors(0, 1) == frozenset()
-    complete = TVG(4, 1, [(0, a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert complete.neighbors(0, 0) == {1, 2, 3}
-
-
-def test_neighbors_range_errors(chain4):
-    with pytest.raises(ValueError):
-        chain4.neighbors(4, 0)
-    with pytest.raises(ValueError):
-        chain4.neighbors(0, 3)
-
-
-def test_neighbors_reciprocity_random():
-    rng = random.Random(7)
-    for _ in range(25):
-        tvg = random_tvg(rng)
-        for t in range(tvg.num_instants):
-            for u in range(tvg.num_nodes):
-                for v in tvg.neighbors(u, t):
-                    assert u in tvg.neighbors(v, t)
-
-
-def test_snapshot_adjacency_symmetric():
-    tvg = TVG.from_snapshot_pairs(4, [[(0, 1), (1, 2)]])
-    assert tvg.neighbors(1, 0) == {0, 2}
-    assert tvg.neighbors(0, 0) == {1}
-    assert tvg.neighbors(3, 0) == frozenset()
-
-
 def test_tvg_constructor_validation():
     with pytest.raises(ValueError, match="time 3 out of range"):
         TVG(2, 3, [(3, 0, 1)])
