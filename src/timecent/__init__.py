@@ -39,10 +39,9 @@ _HOMES = {
     "ErTvgSpec": "synth",
     "generate_er_tvg": "synth",
     "reference_spec": "synth",
-    # diffusion
-    "CoverageThreshold": "diffusion",
-    "spread_milestones": "diffusion",
     # centrality and its tables
+    "CoverageThreshold": "centrality",
+    "spread_milestones": "centrality",
     "INF": "tables",
     "MetricSpec": "centrality",
     "MetricTable": "tables",

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import MAX_SWEEP_NODES
-from .tvg import TVG, check_instants
+from .tvg import MAX_SWEEP_NODES, TVG, check_instants
 
 REFERENCE_NUM_NODES = 160
 REFERENCE_NUM_INSTANTS = 800

@@ -186,8 +186,8 @@ def write_table_csv(table: MetricTable, out: IO[str]) -> None:
 def read_table_csv(src: IO[str] | Iterable[str]) -> MetricTable:
     """Read a table written by write_table_csv; values become floats.
 
-    A sweep writes each instant once, with a value >= 0 or inf and a
-    non-negative unreached count; any other row is refused.
+    A sweep writes each instant (>= 0) once, with a value >= 0 or inf and
+    a non-negative unreached count; any other row is refused.
     """
     values: dict[int, MetricValue] = {}
     unreached: dict[int, int] = {}
@@ -210,6 +210,8 @@ def read_table_csv(src: IO[str] | Iterable[str]) -> MetricTable:
             count = int(parts[2])
         except ValueError:
             raise ValueError(f"line {lineno}: malformed row {line!r}") from None
+        if t_i < 0:
+            raise ValueError(f"line {lineno}: negative time_index {t_i}")
         if t_i in values:
             raise ValueError(f"line {lineno}: repeated time_index {t_i}")
         if not value >= 0:  # refuses nan as well as negatives

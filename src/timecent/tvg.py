@@ -5,7 +5,7 @@ instants. Each instant carries a snapshot: the set of undirected contacts
 active at that instant. A contact {a, b} at instant t stands for the
 reciprocal pair of directed temporal edges that deliver from t to t+1;
 that cross-instant convention is realized operationally by the diffusion
-step rule (see timecent.diffusion), so no edge beyond the final instant is
+step rule (see timecent.centrality), so no edge beyond the final instant is
 ever materialized.
 
 Storage is columnar: one read-only int32 array `edges` of (time, a, b)
@@ -52,6 +52,13 @@ FORMAT_HEADER = "tvg v1"
 # Largest instant count a TVG may have. Its offsets are int64, so they stay
 # within 64 MiB whatever a header or a contact log's time span declares.
 MAX_INSTANTS = 1 << 23
+
+# Largest node count a sweep (centrality.earliest_arrivals, behind every
+# metric) accepts: its state is one n x n matrix, int16 up to 32,767
+# instants (128 MiB at this size) and int32 beyond (256 MiB). With a
+# snapshot's contact rows and one neighbour gather, a pass peaks near 3x
+# that (384 or 768 MiB).
+MAX_SWEEP_NODES = 8192
 
 
 class TvgFormatError(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from timecent import TVG, TemporalNode, expand, reach_profile, spread_milestones
-from timecent.diffusion import earliest_arrivals
+from timecent.centrality import earliest_arrivals
 
 
 def child_env() -> dict[str, str]:

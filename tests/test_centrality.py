@@ -32,8 +32,8 @@ from timecent import (
     spread_milestones,
     tcc,
 )
-from timecent import centrality, diffusion
-from timecent.diffusion import earliest_arrivals
+from timecent import centrality
+from timecent.centrality import earliest_arrivals
 from timecent.tables import (
     comparison_summary,
     format_value,
@@ -44,6 +44,7 @@ from timecent.tables import (
     write_distribution_csv,
     write_table_csv,
 )
+from timecent.tvg import MAX_SWEEP_NODES
 from conftest import random_tvg
 
 
@@ -196,8 +197,7 @@ def test_ct_sweep_whose_first_round_meets_need_runs_one_pass(monkeypatch):
         passes.append(args)
         return real(*args)
 
-    for module in (centrality, diffusion):  # every pass, wherever it is started
-        monkeypatch.setattr(module, "earliest_arrivals", recorded)
+    monkeypatch.setattr(centrality, "earliest_arrivals", recorded)
     table = metric_sweep(tvg, MetricSpec.ct("1"), (0, 3))
     assert passes == [(tvg, 0, 3, 2)]
     assert table.values == {0: 3, 1: 2, 2: 1}
@@ -228,7 +228,7 @@ def test_metric_sweep_rejects_empty_node_set():
 
 def test_metric_sweep_and_single_instant_metrics_refuse_nodes_over_the_cap():
     # the pass holds an n x n matrix; every metric refuses before allocating it
-    tvg = TVG(diffusion.MAX_SWEEP_NODES + 1, 2, [(0, 0, 1)])
+    tvg = TVG(MAX_SWEEP_NODES + 1, 2, [(0, 0, 1)])
     calls = (
         lambda: metric_sweep(tvg, MetricSpec.tcc(1), (0, 2)),
         lambda: metric_sweep(tvg, MetricSpec.ct("0.5"), (0, 1)),
@@ -576,8 +576,9 @@ HEADER = "time_index,value,unreached_starts\n"
         ("1,nan,0", "value 'nan' is neither >= 0 nor inf"),
         ("1,-inf,0", "value '-inf' is neither >= 0 nor inf"),
         ("1,2.0,-1", "negative unreached_starts -1"),
+        ("-3,2.5,0", "negative time_index -3"),
     ],
-    ids=["repeated-time", "nan", "minus-inf", "negative-unreached"],
+    ids=["repeated-time", "nan", "minus-inf", "negative-unreached", "negative-time"],
 )
 def test_table_csv_rejects_rows_no_sweep_writes(row, problem):
     with pytest.raises(ValueError) as exc:
@@ -641,8 +642,8 @@ def test_sweeps_match_across_the_arrival_width_boundary(chain4, num_instants, wi
 def test_pass_reports_the_rows_each_snapshot_rewrote(monkeypatch):
     rng = random.Random(1212)
     tvgs = [random_tvg(rng, max_instants=30) for _ in range(20)]
-    for chunk in (1, 2, 5, diffusion._CHUNK):
-        monkeypatch.setattr(diffusion, "_CHUNK", chunk)
+    for chunk in (1, 2, 5, centrality._CHUNK):
+        monkeypatch.setattr(centrality, "_CHUNK", chunk)
         for tvg in tvgs:
             big_n = tvg.num_instants
             last = rng.randint(1, big_n)
@@ -677,7 +678,7 @@ def test_metric_sweep_is_independent_of_chunking(monkeypatch):
         whole = [metric_sweep(tvg, spec, (first, last)) for spec in specs]
         single = [tcc(tvg, t, 4) for t in range(tvg.num_instants)]
         for chunk in (1, 2, 5):
-            monkeypatch.setattr(diffusion, "_CHUNK", chunk)
+            monkeypatch.setattr(centrality, "_CHUNK", chunk)
             for spec, table in zip(specs, whole):
                 again = metric_sweep(tvg, spec, (first, last))
                 assert again.values == table.values

@@ -380,7 +380,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_dist_and_rank_refuse_rows_no_sweep_writes(tmp_path, capsys):
-    for row in ("0,2.0,0", "1,nan,0", "1,-inf,0", "1,2.0,-1"):
+    for row in ("0,2.0,0", "1,nan,0", "1,-inf,0", "1,2.0,-1", "-3,2.5,0"):
         table = tmp_path / "bad.csv"
         table.write_text(f"time_index,value,unreached_starts\n0,1.5,0\n{row}\n")
         for argv in (("dist",), ("rank", "--metric", "ct", "--k", "1")):
@@ -434,6 +434,44 @@ def test_package_import_loads_no_numpy():
     child = subprocess.run([sys.executable, "-c", check], env=child_env(),
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
+
+
+# timecent.cli.main in a child process that then prints the timecent modules it loaded
+MODULES_MAIN = """
+import sys
+from timecent.cli import main
+code = main(sys.argv[1:])
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "timecent"))
+sys.exit(code)
+"""
+
+# a run of each command on the small inputs its test writes
+COMMAND_ARGS = {
+    "generate": ("--nodes", "6", "--instants", "4", "--prob", "0.5", "--seed", "1",
+                 "--out", "g.tvg"),
+    "ingest": ("log.csv", "--out", "m.tvg"),
+    "ct": ("small.tvg", "--tau", "0.5", "--out", "ct.csv"),
+    "tcc": ("small.tvg", "--phi", "2", "--out", "tcc.csv"),
+    "dist": ("table.csv", "--out", "d.csv"),
+    "rank": ("table.csv", "--metric", "ct", "--k", "1", "--out", "r.csv"),
+    "compare": ("small.tvg", "--metric", "tcc", "--phi", "2", "--k", "2", "--seed", "1",
+                "--out", "c.csv"),
+    "churn": ("small.tvg",),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_imports_exactly_the_modules_it_names(command, tmp_path):
+    (tmp_path / "log.csv").write_text("0,a,b\n45,b,c\n")
+    (tmp_path / "small.tvg").write_text("tvg v1 4 6\n0 0 1\n1 1 2\n2 2 3\n4 0 3\n")
+    (tmp_path / "table.csv").write_text("time_index,value,unreached_starts\n0,1.5,0\n1,inf,1\n")
+    child = subprocess.run([sys.executable, "-c", MODULES_MAIN, command, *COMMAND_ARGS[command]],
+                           cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.splitlines()[-1].split())
+    named = {f"timecent.{module}" for module in cli._COMMANDS[command][1]}
+    assert loaded == {"timecent", "timecent.cli", "timecent.tables"} | named
 
 
 def test_public_names_resolve_to_their_home_modules():

@@ -20,8 +20,8 @@ from timecent import (
     spread_milestones,
     tcc,
 )
-from timecent import diffusion
-from timecent.diffusion import earliest_arrivals
+from timecent import centrality
+from timecent.centrality import earliest_arrivals
 from conftest import milestones_of, random_tvg
 
 
@@ -235,13 +235,13 @@ def test_stop_count_widens_the_pass_until_every_start_is_there(monkeypatch):
     oracle's, cut at the largest step by which every start has informed
     stop_count nodes, if there is one."""
     passes = []
-    real = diffusion.earliest_arrivals
+    real = centrality.earliest_arrivals
 
     def counted(*args):
         passes.append(args)
         return real(*args)
 
-    monkeypatch.setattr(diffusion, "earliest_arrivals", counted)
+    monkeypatch.setattr(centrality, "earliest_arrivals", counted)
     rng = random.Random(606)
     grown = short = 0
     for _ in range(150):

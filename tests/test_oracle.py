@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from timecent import TVG, TemporalNode, expand, oracle_reach, reach_profile, spread_milestones
-from timecent import diffusion
-from timecent.diffusion import earliest_arrivals
+from timecent import centrality
+from timecent.centrality import earliest_arrivals
 from conftest import assert_engines_match_oracle, random_tvg
 
 
@@ -92,7 +92,7 @@ def test_engines_match_oracle_on_a_star_and_a_matching_across_chunks(monkeypatch
     # snapshots 1 and 2 each hold a star, whose centre is not the lowest node,
     # and a matching, so their nodes' degrees differ and their runs have
     # different lengths; with 2-instant chunks they lie in different chunks
-    monkeypatch.setattr(diffusion, "_CHUNK", 2)
+    monkeypatch.setattr(centrality, "_CHUNK", 2)
     pairs = [
         [(0, 4), (2, 6)],
         [(4, 7), (5, 7), (6, 7), (0, 2), (1, 3)],
