@@ -15,6 +15,7 @@ label is `IngestStats.labels[i]`, since the TVG keeps no labels.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import IO, Iterable, NamedTuple
@@ -81,11 +82,13 @@ def parse_contacts(src: IO[str] | Iterable[str]) -> ContactColumns:
     One pass over the lines, which stops at the first bad one: it raises
     ContactLogError with that line's number for a wrong field count, a
     non-integer timestamp, an empty label or a self-contact. Labels are
-    kept verbatim apart from surrounding whitespace.
+    kept verbatim apart from surrounding whitespace, and the records that
+    name one label share one str.
     """
-    timestamps: list[int] = []
+    timestamps: array[int] | list[int] = array("q")  # a list once one is past int64
     label_a: list[str] = []
     label_b: list[str] = []
+    label = {}.setdefault  # one str per distinct label, shared by every record that names it
     for lineno, line in enumerate(src, start=1):
         parts = line.split(",")  # the line end is whitespace, stripped off the last field
         if len(parts) != 3 or lineno == 1:
@@ -102,14 +105,17 @@ def parse_contacts(src: IO[str] | Iterable[str]) -> ContactColumns:
             timestamps.append(int(ts_text))
         except ValueError:
             raise ContactLogError(lineno, f"non-integer timestamp {ts_text!r}") from None
+        except OverflowError:
+            timestamps = timestamps.tolist()
+            timestamps.append(int(ts_text))
         a = a.strip()
         b = b.strip()
         if not a or not b:
             raise ContactLogError(lineno, "empty node label")
         if a == b:
             raise ContactLogError(lineno, f"self-contact on label {a!r}")
-        label_a.append(a)
-        label_b.append(b)
+        label_a.append(label(a, a))
+        label_b.append(label(b, b))
     return ContactColumns(_integers(timestamps), label_a, label_b)
 
 
@@ -146,10 +152,13 @@ def discretize_with_stats(
     # the labels of the accepted records, interleaved a, b
     labels = list(chain.from_iterable(compress(zip(label_a, label_b), accepted.tolist())))
     ids = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    rows = np.empty((len(labels) // 2, 3), dtype=np.int64)
+    pairs = np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels)).reshape(-1, 2)
+    del labels  # before the rows are allocated
+    pairs.sort(axis=1)
+    rows = np.empty((len(pairs), 3), dtype=np.int64)
     rows[:, 0] = (timestamps[accepted] - start) // granularity
-    rows[:, 1:] = np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels)).reshape(-1, 2)
-    rows[:, 1:].sort(axis=1)
+    rows[:, 1:] = pairs
+    del pairs
     tvg = TVG(len(ids), num_instants, rows)
     stats = IngestStats(
         records_read=len(timestamps),

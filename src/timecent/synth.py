@@ -29,7 +29,7 @@ REFERENCE_NUM_INSTANTS = 800
 REFERENCE_EDGE_PROBABILITY = 0.01 * math.log(160) / 160
 
 # Largest expected contact count, p * C(n, 2) * N, of a spec. Generating
-# peaks at about 116 B per contact, so a spec at the cap stays near 500 MiB.
+# peaks at about 80 B per contact, so a spec at the cap stays near 320 MiB.
 MAX_EXPECTED_CONTACTS = 1 << 22
 
 

@@ -119,11 +119,25 @@ def _first_invalid(rows: np.ndarray, num_nodes: int, num_instants: int) -> tuple
     return i, f"contact ({a},{b}) at time {t} must satisfy a < b"
 
 
-def _steps(edges: np.ndarray) -> np.ndarray:
-    """Sign of each row's (time, a, b) step up from the row before (the first
-    row steps up); 0 marks a repeated row."""
-    d = np.diff(edges, axis=0, prepend=-1)
-    return np.sign(d, out=d) @ np.array([4, 2, 1])  # the first nonzero sign decides
+def _sorted_unique(rows: np.ndarray, num_nodes: int, num_instants: int) -> np.ndarray:
+    """Valid (time, a, b) rows sorted without repeats, as int32: by one int64
+    key (t * n + a) * n + b, sorted in place, or by np.unique over the rows
+    once num_instants * num_nodes**2 passes 2**63 and that key would overflow."""
+    n = num_nodes
+    if num_instants * n * n > 1 << 63:
+        return np.unique(rows, axis=0).astype(np.int32)
+    key = rows[:, 0] * n
+    key += rows[:, 1]
+    key *= n
+    key += rows[:, 2]
+    if (key[1:] > key[:-1]).all():  # in order, without repeats, as a saved file is
+        return rows.astype(np.int32)
+    key.sort()
+    key = key[np.r_[True, key[1:] != key[:-1]]]  # drop repeats (key is not empty here)
+    edges = np.empty((len(key), 3), dtype=np.int32)
+    np.divmod(key, n, out=(key, edges[:, 2]))
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 class Snapshot:
@@ -189,12 +203,7 @@ class TVG:
         invalid = _first_invalid(rows, num_nodes, num_instants)
         if invalid is not None:
             raise ValueError(invalid[1])
-        edges = rows.astype(np.int32)  # in range: checked above
-        step = _steps(edges)
-        if (step < 0).any():  # out of order; a loaded file never is
-            edges = edges[np.lexsort(edges.T[::-1])]
-            step = _steps(edges)
-        edges = edges[step > 0]  # drop duplicates
+        edges = _sorted_unique(rows, num_nodes, num_instants)
         # offsets[t]: contacts before instant t, summed in place
         offsets = np.bincount(edges[:, 0] + 1, minlength=num_instants + 1)
         np.cumsum(offsets, out=offsets)
@@ -270,10 +279,17 @@ def churn_rate(tvg: TVG) -> Fraction:
     return Fraction(flipped, active)
 
 
+# rows format_tvg renders at a time, so that few of their Python ints are alive at once
+_FORMAT_ROWS = 1 << 14
+
+
 def format_tvg(tvg: TVG) -> str:
     """Render the tvg v1 text form."""
-    header = f"{FORMAT_HEADER} {tvg.num_nodes} {tvg.num_instants}\n"
-    return header + ("%d %d %d\n" * tvg.num_contacts()) % tuple(tvg.edges.ravel().tolist())
+    parts = [f"{FORMAT_HEADER} {tvg.num_nodes} {tvg.num_instants}\n"]
+    for i in range(0, tvg.num_contacts(), _FORMAT_ROWS):
+        block = tvg.edges[i : i + _FORMAT_ROWS]
+        parts.append(("%d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def save_tvg(tvg: TVG, path: str) -> None:

@@ -13,6 +13,7 @@ from timecent import (
     IngestConfig,
     cover_time,
     discretize_with_stats,
+    format_tvg,
     parse_contacts,
     tcc,
 )
@@ -114,6 +115,63 @@ def test_parse_memory_stays_near_its_result():
     assert len(result.timestamps) == 20_000
     # the column pass, which listed every line and every field first, peaked at 2.2x
     assert peak - before < 1.6 * (kept - before)
+
+
+def _log_lines(records: int, labels: int, seed: int) -> list[str]:
+    """A header and `records` contact lines, timestamps in order, 0-6 s apart."""
+    rng = random.Random(seed)
+    lines = ["timestamp,label_a,label_b\n"]
+    t = 0
+    for _ in range(records):
+        t += rng.randrange(7)
+        a, b = rng.sample(range(labels), 2)
+        lines.append(f"{t},p{a:03d},p{b:03d}\n")
+    return lines
+
+
+def test_parse_keeps_one_str_per_distinct_label():
+    columns = parse_contacts(_log_lines(2_000, 30, 4))
+    labels = columns.label_a + columns.label_b
+    assert len(set(labels)) == len(set(map(id, labels))) == 30
+
+
+def test_ingest_memory_per_record():
+    records = 24_000
+    lines = _log_lines(records, 300, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tvg, stats = discretize_with_stats(parse_contacts(lines), IngestConfig(30))
+        text = format_tvg(tvg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (stats.records_read, len(stats.labels)) == (records, 300)
+    assert text.count("\n") == tvg.num_contacts() + 1
+    # 83 B a record measured; with a str per label field, a 3-key lexsort and the
+    # whole body's ints at once, ingest took 240
+    assert peak < 110 * records
+
+
+def test_discretize_takes_the_columns_as_a_list():
+    cfg = IngestConfig(30, 0, 59)
+    for text, window in (
+        ("0,a,b\n40,b,c\n100,c,d\n", cfg),
+        ("0,zoe,amy\n500,ghost,amy\n1,amy,bob\n-5,bob,ghost\n1,bob,amy\n", cfg),
+        (f"0,a,b\n{INT64_PAST},a,b\n30,b,c\n{-INT64_PAST - 1},c,d\n", cfg),
+        ("".join(_log_lines(500, 20, 2)), IngestConfig(30)),
+        ("", IngestConfig(30, 0, 89)),
+        ("", IngestConfig(30)),  # no bounds for an empty stream
+        ("0,a,b\n2000000000,b,c\n", IngestConfig(30)),  # past MAX_INSTANTS
+    ):
+        columns = records(text)
+        outcomes = []
+        for form in (columns, list(columns)):
+            try:
+                outcomes.append(discretize_with_stats(form, window))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_parse_rejects_self_contact():

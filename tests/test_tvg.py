@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
 import pytest
 
 from timecent import (
@@ -54,6 +55,46 @@ def test_contacts_round_trip():
     contacts = list(tvg.contacts())
     assert contacts == [Contact(0, 1, 0), Contact(1, 2, 0), Contact(0, 3, 2)]
     assert [[c.time, c.a, c.b] for c in contacts] == tvg.edges.tolist()
+
+
+def test_rows_sort_whatever_the_node_count():
+    # (t * n + a) * n + b passes int64 here, so one int64 key cannot order these rows
+    n = 2**31 - 1
+    tvg = TVG(n, 4, [(3, 5, 9), (0, 1, 2), (3, 5, 9), (2, 0, n - 1)])
+    assert tvg.edges.tolist() == [[0, 1, 2], [2, 0, n - 1], [3, 5, 9]]
+    assert tvg.offsets.tolist() == [0, 1, 1, 2, 3]
+    rng = random.Random(8)
+    # 2**30 nodes over 8 instants is the last size whose keys all fit: the largest is 2**63 - 1
+    for num_nodes, num_instants in ((n, 6), (2**30, 9), (2**30, 8), (7, 5), (2, 3)):
+        for _ in range(20):
+            rows = []
+            for _ in range(rng.randint(0, 12)):
+                a, b = sorted(rng.sample(range(min(num_nodes, 4)), 2))
+                if num_nodes > 4 and rng.random() < 0.5:
+                    b = rng.randrange(num_nodes - 3, num_nodes)
+                rows.append((rng.randrange(num_instants), a, b))
+            rows += rng.sample(rows, len(rows) // 2)  # repeats
+            tvg = TVG(num_nodes, num_instants, rows)
+            assert tvg.edges.tolist() == [list(row) for row in sorted(set(rows))]
+
+
+def test_constructor_holds_less_than_its_rows():
+    rng = np.random.default_rng(5)
+    distinct = np.column_stack(
+        (rng.integers(0, 1000, 50_000), rng.integers(0, 100, 50_000), rng.integers(100, 200, 50_000))
+    )
+    shuffled = distinct[rng.integers(0, len(distinct), 200_000)]  # most rows repeat
+    in_order = TVG(200, 1000, shuffled).edges.astype(np.int64)
+    for rows, bound in ((shuffled, 0.75), (in_order, 1.25)):
+        tracemalloc.start()
+        try:
+            tvg = TVG(200, 1000, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(tvg.edges, in_order)
+        # 0.46x and 1.0x the int64 rows measured; the 3-key lexsort and step signs took 2.8x and 2.5x
+        assert peak < bound * rows.nbytes
 
 
 def test_tvg_constructor_validation():
