@@ -685,3 +685,28 @@ def test_metric_sweep_is_independent_of_chunking(monkeypatch):
                 assert again.unreached_starts == table.unreached_starts
             assert [tcc(tvg, t, 4) for t in range(tvg.num_instants)] == single
             monkeypatch.undo()
+
+
+def _sparse_tvg(rng, n, big_n, busy):
+    """TVG whose snapshots in `busy` hold random contacts (at least one each) and the rest none."""
+    rows = {(t, *sorted(rng.sample(range(n), 2))) for t in busy for _ in range(rng.randint(1, n))}
+    return TVG(n, big_n, sorted(rows))
+
+
+def test_tcc_reuses_counts_across_empty_snapshots_as_the_oracle_counts(monkeypatch):
+    # an instant whose snapshot is empty reuses the next instant's count unless
+    # snapshot within + 1 holds contacts, which only a budget short of top reaches
+    rng = random.Random(1919)
+    cases = []
+    for s in (1, 4, 9):  # the only contacts sit at s: within + 1 = s at instant s - phi
+        cases.append((_sparse_tvg(rng, 5, 11, [s]), 0, 11))
+    for _ in range(12):  # runs of empty snapshots, ranges ending at N (within clipped to top) or before
+        big_n = rng.randint(4, 16)
+        tvg = _sparse_tvg(rng, rng.randint(2, 6), big_n, [t for t in range(big_n) if rng.random() < 0.3])
+        first = rng.randrange(big_n)
+        cases += [(tvg, first, big_n), (tvg, first, rng.randint(first + 1, big_n))]
+    for chunk in (1, 2, 5, centrality._CHUNK):  # empty runs across chunk boundaries
+        monkeypatch.setattr(centrality, "_CHUNK", chunk)
+        for tvg, first, last in cases:
+            _assert_sweeps_match_oracle(tvg, first, last)
+        monkeypatch.undo()
