@@ -326,9 +326,7 @@ def metric_sweep(
             values[t_i] = value
             unreached[t_i] = 0
     # the pass runs backward; keep the tables in ascending instant order
-    return MetricTable(
-        metric, dict(reversed(values.items())), (first, last), dict(reversed(unreached.items()))
-    )
+    return MetricTable(metric, dict(reversed(values.items())), dict(reversed(unreached.items())))
 
 
 def check_top_k(k: int, instants: int) -> None:

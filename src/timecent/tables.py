@@ -13,6 +13,7 @@ tables (dist, rank) start without it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Literal, Sequence
@@ -31,11 +32,10 @@ def is_inf(value: MetricValue) -> bool:
 
 @dataclass
 class MetricTable:
-    """Per-instant metric values over a half-open evaluation range."""
+    """Per-instant metric values; the keys of `values` are the table's instants."""
 
     metric: MetricSpec | None
     values: dict[int, MetricValue]
-    eval_range: tuple[int, int]
     unreached_starts: dict[int, int] = field(default_factory=dict)
 
     def times(self) -> list[int]:
@@ -110,23 +110,12 @@ def empirical_distribution(
     if not finite:
         raise ValueError("no finite values to distribute")
     total = len(finite)
-    counts: list[tuple[MetricValue, int]] = []
-    for v in finite:
-        if counts and counts[-1][0] == v:
-            counts[-1] = (v, counts[-1][1] + 1)
-        else:
-            counts.append((v, 1))
-    points = []
+    # each distinct value once, named by the last member of its run of equal values
+    distinct = [v for v, after in zip(finite, finite[1:] + [None]) if v != after]
     if kind == "cdf":
-        seen = 0
-        for v, c in counts:
-            seen += c
-            points.append((v, Fraction(seen, total)))
+        points = [(v, Fraction(bisect_right(finite, v), total)) for v in distinct]
     else:
-        remaining = total
-        for v, c in counts:
-            points.append((v, Fraction(remaining, total)))
-            remaining -= c
+        points = [(v, Fraction(total - bisect_left(finite, v), total)) for v in distinct]
     return Distribution(kind, tuple(points), excluded)
 
 
@@ -222,8 +211,7 @@ def read_table_csv(src: IO[str] | Iterable[str]) -> MetricTable:
         unreached[t_i] = count
     if not values:
         raise ValueError("metric table has no rows")
-    times = sorted(values)
-    return MetricTable(None, values, (times[0], times[-1] + 1), unreached)
+    return MetricTable(None, values, unreached)
 
 
 def write_ranking_csv(ranked: Sequence[tuple[int, MetricValue]], out: IO[str]) -> None:

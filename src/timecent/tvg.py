@@ -28,9 +28,9 @@ a contact log's labels stay with its ingestion (`IngestStats.labels`).
 
 The parser reads any order and skips blank lines. A contact line is three
 fields separated by whitespace: any run of the characters str.split()
-splits on, other than a line end (format_tvg writes one space). Each field
-is an ASCII integer, [+-]?[0-9]+. numpy's loadtxt reads exactly this
-grammar; a line scan that applies it names the first bad line.
+splits on, other than a line end (format_tvg writes one space). Each field,
+and each header count, is an ASCII integer, [+-]?[0-9]+. numpy's loadtxt
+reads exactly this grammar; a line scan with it names the first bad line.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ NodeId = int
 TimeIndex = int
 
 FORMAT_HEADER = "tvg v1"
+_is_field = re.compile(r"[+-]?[0-9]+").fullmatch  # a header count or a contact field
 
 # Largest instant count a TVG may have. Its offsets are int64, so they stay
 # within 64 MiB whatever a header or a contact log's time span declares.
@@ -317,6 +318,8 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
     if len(fields) != 4 or fields[0] != "tvg" or fields[1] != "v1":
         raise TvgFormatError(f"bad header: {header.strip()!r}")
     try:
+        if not all(map(_is_field, fields[2:])):
+            raise ValueError("each count is [+-]?[0-9]+")
         num_nodes, num_instants = int(fields[2]), int(fields[3])
         check_nodes(num_nodes)
         check_instants(num_instants)
@@ -349,13 +352,12 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
 def _scan_rows(body: Iterable[str], num_nodes: int, num_instants: int) -> np.ndarray:
     """The rows of a tvg v1 body, read line by line with the module doc's
     grammar; TvgFormatError names the first bad line."""
-    is_field = re.compile(r"[+-]?[0-9]+").fullmatch
     values: list[int] = []
     blanks: list[int] = []  # records read before each blank line
     malformed = None  # what is wrong with the line after the last record read
     for line in body:
         parts = line.split()
-        if len(parts) == 3 and all(map(is_field, parts)):
+        if len(parts) == 3 and all(map(_is_field, parts)):
             values += map(int, parts)
         elif parts:
             malformed = "non-integer field" if len(parts) == 3 else "expected '<time> <a> <b>'"

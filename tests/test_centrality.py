@@ -49,8 +49,7 @@ from conftest import random_tvg
 
 
 def table_of(values, metric=None, unreached=None):
-    times = sorted(values)
-    return MetricTable(metric, dict(values), (times[0], times[-1] + 1), unreached or {})
+    return MetricTable(metric, dict(values), unreached or {})
 
 
 def test_cover_time_micro_exact(chain4):
@@ -118,7 +117,6 @@ def _assert_sweeps_match_oracle(tvg, first, last):
     }
     for r in range(1, n + 1):
         table = metric_sweep(tvg, MetricSpec.ct(Fraction(r, n)), (first, last))
-        assert table.eval_range == (first, last)
         assert table.times() == list(range(first, last))
         for t_i, rows in counts.items():
             cover = [next((s for s, c in enumerate(row) if c >= r), None) for row in rows]
@@ -296,7 +294,7 @@ def test_metric_sweep_range_validation(chain4):
 def test_metric_sweep_default_range_prefix():
     tvg = TVG(2, 8, [])
     table = metric_sweep(tvg, MetricSpec.tcc(1))
-    assert table.eval_range == (0, 7)  # ceil(0.825 * 8)
+    assert table.times() == list(range(7))  # ceil(0.825 * 8)
 
 
 def test_default_eval_range_examples():
@@ -429,6 +427,16 @@ def _reference_median(values):
     return (lo + hi) / 2
 
 
+def _reference_distribution(values, kind):
+    """Each distinct finite value, named by the last member of its run of
+    equals once `values` are sorted in the order given (a stable sort), with
+    the share of finite values <= it (cdf) or >= it (ccdf), counted one by one."""
+    finite = sorted(v for v in values if not is_inf(v))
+    named = [v for i, v in enumerate(finite) if i + 1 == len(finite) or finite[i + 1] != v]
+    counted = (lambda w, v: w <= v) if kind == "cdf" else (lambda w, v: w >= v)
+    return [(v, Fraction(sum(counted(w, v) for w in finite), len(finite))) for v in named]
+
+
 def _typed(value):
     return type(value), value
 
@@ -451,6 +459,13 @@ def test_tables_order_matches_the_inf_last_key(values, k):
     ordered = sorted(values, key=_inf_last_key)
     assert stats.minimum is ordered[0] and stats.maximum is ordered[-1]
     assert _typed(stats.med) == _typed(_reference_median(values))
+    if all(map(is_inf, values)):
+        return
+    for kind in ("cdf", "ccdf"):
+        dist = empirical_distribution(table, kind)
+        expected = _reference_distribution(table.values.values(), kind)
+        assert [(*_typed(v), f) for v, f in dist.points] == [(*_typed(v), f) for v, f in expected]
+        assert dist.excluded_infinite == sum(map(is_inf, values))
 
 
 def _value_rank(table, k, higher_is_better):
@@ -554,7 +569,7 @@ def test_table_csv_round_trip(chain4):
     assert back.values[0] == 1.75
     assert back.values[1] == INF
     assert back.unreached_starts == table.unreached_starts
-    assert back.eval_range == (0, 3)
+    assert back.times() == [0, 1, 2]
 
 
 def test_table_csv_rejects_garbage():

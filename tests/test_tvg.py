@@ -194,10 +194,12 @@ def test_save_load_round_trip(tmp_path, chain4):
         ("tvg v1 2 2\n0 0 1\n0 1\n0 0 x\n", "line 3: expected"),
         ("tvg v1 2 2\n1 0 99999999999999999999\n", "line 2: node out of range"),
         ("tvg v1 2 2\n-99999999999999999999 0 1\n", "line 2: time -99999999999999999999"),
-        # fields are ASCII [+-]?[0-9]+, whatever else int() reads
+        # fields and header counts are ASCII [+-]?[0-9]+, whatever else int() reads
         ("tvg v1 2 2\n0 0 1\n1_0 0 1\n", "line 3: non-integer field"),
         ("tvg v1 2 2\n0 0 \u0661\n", "line 2: non-integer field"),
         ("tvg v1 2 2\n0 0 1.0\n", "line 2: non-integer field"),
+        ("tvg v1 1_0 2\n", "bad header counts"),
+        ("tvg v1 3 \u0662\n", "bad header counts"),
         ("tvg v1 2 2\n0 0 1\x00\n", "line 2: non-integer field"),
         # there are no comments (comments=None)
         ("tvg v1 2 2\n# comment\n0 0 1\n", "line 2: expected '<time> <a> <b>'"),
