@@ -38,9 +38,8 @@ distributions and their CSV files live in timecent.tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -67,8 +66,7 @@ def check_tau(tau: Fraction | str | int) -> Fraction:
     return frac
 
 
-@dataclass(frozen=True)
-class CoverageThreshold:
+class CoverageThreshold(NamedTuple):
     """Fraction of nodes a diffusion must inform, as an exact count.
 
     required_count = ceil(tau * num_nodes), computed in exact rational
@@ -207,8 +205,7 @@ def spread_milestones(
     return [row[:k] for row, k in zip(steps.tolist(), counts.tolist())]
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(NamedTuple):
     """Which metric to compute, with its parameter."""
 
     kind: Literal["ct", "tcc"]

@@ -7,16 +7,17 @@ value of either type, so sorting needs no special case for it. CSV exports
 render values as their float repr and INF as the literal `inf`.
 
 This module imports no numpy, so the commands that only read and write
-tables (dist, rank) start without it.
+tables (dist, rank) start without it. Its records, like centrality's, are
+NamedTuples, so no sweep or table command imports `dataclasses` (a record
+also equals the plain tuple of its fields, and has a length and unpacks).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Literal, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .centrality import MetricSpec
@@ -30,13 +31,12 @@ def is_inf(value: MetricValue) -> bool:
     return isinstance(value, float) and math.isinf(value)
 
 
-@dataclass
-class MetricTable:
+class MetricTable(NamedTuple):
     """Per-instant metric values; the keys of `values` are the table's instants."""
 
     metric: MetricSpec | None
     values: dict[int, MetricValue]
-    unreached_starts: dict[int, int] = field(default_factory=dict)
+    unreached_starts: dict[int, int]  # no default: a NamedTuple's would be one shared dict
 
     def times(self) -> list[int]:
         return sorted(self.values)
@@ -86,8 +86,7 @@ def _order_key(values: Iterable[MetricValue]) -> Callable[[MetricValue], MetricV
     return lambda v: v.numerator * (scale // v.denominator) if isinstance(v, Fraction) else v
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """Empirical CDF or CCDF points over the finite values of a table."""
 
     kind: Literal["cdf", "ccdf"]
@@ -130,8 +129,7 @@ def median(values: Sequence[MetricValue]) -> MetricValue:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     members: tuple[tuple[int, MetricValue], ...]
     minimum: MetricValue
     med: MetricValue
@@ -144,8 +142,7 @@ def group_stats(members: list[tuple[int, MetricValue]]) -> GroupStats:
     return GroupStats(tuple(members), ordered[0], median(vals), ordered[-1])
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Top-k instants versus a seeded random baseline of equal size."""
 
     metric: MetricSpec | None

@@ -265,12 +265,17 @@ def churn_rate(tvg: TVG) -> Fraction:
     With C_i the contacts of instant i, m their total and S the sum of
     |C_i & C_{i+1}|: flipped = 2m - |C_0| - |C_last| - 2S and active =
     flipped + S. S counts the contacts whose pair recurs at the next
-    instant, found by sorting on (pair, time).
+    instant: sorted keys (a * n + b) * (N + 1) + t that differ by 1. The
+    stride N + 1 keeps one pair's instant N - 1 off the next pair's instant 0.
     """
     if tvg.num_instants < 2:
         raise ValueError("churn_rate needs at least 2 snapshots")
-    t, a, b = tvg.edges[np.lexsort(tvg.edges.T)].T
-    overlap = int(np.count_nonzero((a[1:] == a[:-1]) & (b[1:] == b[:-1]) & (t[1:] == t[:-1] + 1)))
+    stride = tvg.num_instants + 1
+    pair = tvg.edges[:, 1].astype(np.int64) * tvg.num_nodes + tvg.edges[:, 2]
+    if tvg.num_nodes**2 * stride > 1 << 63:  # number the pairs densely: the keys fit int64
+        pair = np.unique(pair, return_inverse=True)[1]
+    key = np.sort(pair * stride + tvg.edges[:, 0])
+    overlap = int(np.count_nonzero(key[1:] - key[:-1] == 1))
     m = tvg.num_contacts()
     ends = int(tvg.offsets[1]) + m - int(tvg.offsets[-2])
     flipped = 2 * m - ends - 2 * overlap

@@ -24,11 +24,13 @@ from timecent import (
     discretize_with_stats,
     empirical_distribution,
     expand,
+    generate_er_tvg,
     median,
     metric_sweep,
     parse_contacts,
     rank_instants,
     reach_profile,
+    reference_spec,
     spread_milestones,
     tcc,
 )
@@ -652,6 +654,47 @@ def test_sweeps_match_across_the_arrival_width_boundary(chain4, num_instants, wi
                 assert shifted.unreached_starts == {
                     t + pad: c for t, c in table.unreached_starts.items()
                 }, spec
+
+
+def _closed_forms(tvg, first, last):
+    """tcc(t, 1), ct(t, 2/n) and ct's unreached counts for t in [first, last),
+    from edges and offsets alone.
+
+    tcc(t, 1) = (n + 2 m_t) / n^2, where snapshot t holds m_t contacts. A start u
+    covers 2 nodes at step s_u(t) - t + 1, where s_u(t) is the first snapshot at
+    or after t in which u has a contact; with no such snapshot u is unreached.
+    """
+    n, offsets = tvg.num_nodes, tvg.offsets.tolist()
+    tcc1 = {t: Fraction(n + 2 * (offsets[t + 1] - offsets[t]), n * n) for t in range(first, last)}
+    ct2, unreached = {}, {}
+    next_contact = [None] * n
+    for t in range(tvg.num_instants - 1, first - 1, -1):
+        for _, a, b in tvg.edges[offsets[t] : offsets[t + 1]].tolist():
+            next_contact[a] = next_contact[b] = t
+        if t < last:
+            unreached[t] = next_contact.count(None)
+            ct2[t] = INF if unreached[t] else Fraction(sum(next_contact) - n * (t - 1), n)
+    return tcc1, ct2, unreached
+
+
+def test_sweeps_equal_their_closed_forms_at_full_scale():
+    # every instant of the seed-1 reference TVG, and instants 31,000-33,999 of a
+    # 34,000-instant TVG (so the int32 matrix) that holds three copies of it, 1000
+    # instants apart: starts in the 200 empty instants after a copy wait for the
+    # next copy, or after the last one are never reached
+    ref = generate_er_tvg(reference_spec(1))
+    n, pad = ref.num_nodes, 31_000
+    shifted = [ref.edges + np.array([pad + 1000 * j, 0, 0], dtype=np.int32) for j in range(3)]
+    padded = TVG(n, pad + 3000, np.concatenate(shifted))
+    for tvg, first, last in ((ref, 0, ref.num_instants), (padded, pad, pad + 3000)):
+        tcc1, ct2, unreached = _closed_forms(tvg, first, last)
+        table = metric_sweep(tvg, MetricSpec.tcc(1), (first, last))
+        assert table.values == tcc1
+        assert table.unreached_starts == dict.fromkeys(tcc1, 0)
+        table = metric_sweep(tvg, MetricSpec.ct(Fraction(2, n)), (first, last))
+        assert table.values == ct2
+        assert table.unreached_starts == unreached
+    assert unreached[pad + 2999] == n  # no contact after the last copy: INF
 
 
 def test_pass_reports_the_rows_each_snapshot_rewrote(monkeypatch):

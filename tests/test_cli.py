@@ -436,14 +436,21 @@ def test_package_import_loads_no_numpy():
     assert child.returncode == 0, child.stderr
 
 
-# timecent.cli.main in a child process that then prints the timecent modules it loaded
+# timecent.cli.main in a child process that then prints the timecent modules it
+# loaded, and on a last line which of dataclasses and inspect it loaded
 MODULES_MAIN = """
 import sys
 from timecent.cli import main
 code = main(sys.argv[1:])
 print(*sorted(name for name in sys.modules if name.split(".")[0] == "timecent"))
+print(*(name for name in ("dataclasses", "inspect") if name in sys.modules))
 sys.exit(code)
 """
+
+# commands whose records are all NamedTuples; dist and rank import no numpy
+# either, and nothing else they import brings in inspect
+NO_DATACLASSES = {"ct", "tcc", "compare", "churn", "dist", "rank"}
+NO_INSPECT = {"dist", "rank"}
 
 # a run of each command on the small inputs its test writes
 COMMAND_ARGS = {
@@ -469,9 +476,11 @@ def test_each_command_imports_exactly_the_modules_it_names(command, tmp_path):
                            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
                            timeout=120)
     assert child.returncode == 0, child.stderr
-    loaded = set(child.stdout.splitlines()[-1].split())
+    *_, modules, stdlib = child.stdout.splitlines()
     named = {f"timecent.{module}" for module in cli._COMMANDS[command][1]}
-    assert loaded == {"timecent", "timecent.cli", "timecent.tables"} | named
+    assert set(modules.split()) == {"timecent", "timecent.cli", "timecent.tables"} | named
+    assert command not in NO_DATACLASSES or "dataclasses" not in stdlib.split()
+    assert command not in NO_INSPECT or "inspect" not in stdlib.split()
 
 
 def test_public_names_resolve_to_their_home_modules():

@@ -9,6 +9,8 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from timecent import (
     MAX_INSTANTS,
@@ -235,8 +237,9 @@ def test_parse_error_path_rereads_a_stream_from_where_it_started(tmp_path):
 
 
 def _churn_by_sets(tvg):
-    """churn_rate from per-instant contact sets (the definition)."""
-    sets = [set(s.contact_list) for s in tvg.snapshots]
+    """churn_rate from per-instant contact sets (the definition), read from edges and offsets."""
+    bounds = tvg.offsets.tolist()
+    sets = [set(map(tuple, tvg.edges[lo:hi, 1:].tolist())) for lo, hi in zip(bounds, bounds[1:])]
     flipped = sum(len(c ^ d) for c, d in zip(sets, sets[1:]))
     active = sum(len(c | d) for c, d in zip(sets, sets[1:]))
     return Fraction(flipped, active) if active else Fraction(0)
@@ -249,6 +252,40 @@ def test_churn_matches_set_reference_random():
     for tvg in tvgs:
         if tvg.num_instants >= 2:
             assert churn_rate(tvg) == _churn_by_sets(tvg)
+
+
+@st.composite
+def churn_tvgs(draw):
+    n = draw(st.integers(2, 6))
+    big_n = draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rows = draw(st.lists(st.tuples(st.integers(0, big_n - 1), st.sampled_from(pairs)), max_size=30))
+    return TVG(n, big_n, [(t, a, b) for t, (a, b) in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(churn_tvgs())
+# pair (0, 1)'s last contact is at instant N - 1 and the next pair's, (0, 2)'s, at 0
+@example(TVG(3, 3, [(2, 0, 1), (0, 0, 2)]))
+def test_churn_rate_matches_its_definition(tvg):
+    assert churn_rate(tvg) == _churn_by_sets(tvg)
+
+
+def test_churn_rate_whatever_the_node_count():
+    # the keys (a * n + b) * (N + 1) + t fit int64 up to n * n * (N + 1) == 2**63;
+    # past that the pairs are numbered densely first
+    rng = random.Random(63)
+    for num_nodes, num_instants in ((2**30, 7), (2**30, 8), (2**31 - 1, 2), (2**31 - 1, 5)):
+        tops = [(num_nodes - 3, num_nodes - 1), (num_nodes - 2, num_nodes - 1), (0, num_nodes - 1)]
+        pairs = tops + [(0, 1), (0, 2), (1, 2)]
+        for _ in range(30):
+            rows = [(rng.randrange(num_instants), *rng.choice(pairs)) for _ in range(rng.randint(0, 16))]
+            tvg = TVG(num_nodes, num_instants, rows)
+            assert churn_rate(tvg) == _churn_by_sets(tvg), (num_nodes, num_instants, rows)
+    # pair (2**30, 2**30 + 1) is 2**61 pairs after (0, 1): at stride 8, unchecked
+    # keys would wrap and put its instant 1 next to (0, 1)'s instant 0
+    tvg = TVG(2**31 - 1, 7, [(0, 0, 1), (1, 2**30, 2**30 + 1)])
+    assert churn_rate(tvg) == _churn_by_sets(tvg) == 1
 
 
 def test_instant_cap_is_checked_before_allocation():
