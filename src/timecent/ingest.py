@@ -16,8 +16,9 @@ label is `IngestStats.labels[i]`, since the TVG keeps no labels.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, count
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -149,10 +150,11 @@ def discretize_with_stats(
     if max(-start, end, end - start, granularity) >= 1 << 63:
         timestamps = timestamps.astype(object)  # the window needs Python ints
     accepted = (timestamps >= start) & (timestamps <= end)
-    # the labels of the accepted records, interleaved a, b
-    labels = list(chain.from_iterable(compress(zip(label_a, label_b), accepted.tolist())))
-    ids = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    pairs = np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels)).reshape(-1, 2)
+    ids = defaultdict(count().__next__)  # a label new to it gets the next id
+    # the ids of the accepted records' labels, interleaved a, b, in one pass
+    labels = chain.from_iterable(compress(zip(label_a, label_b), accepted.tobytes()))
+    kept = np.count_nonzero(accepted)
+    pairs = np.fromiter(map(ids.__getitem__, labels), np.int64, 2 * kept).reshape(-1, 2)
     del labels  # before the rows are allocated
     pairs.sort(axis=1)
     rows = np.empty((len(pairs), 3), dtype=np.int64)

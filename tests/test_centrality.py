@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from timecent import (
     INF,
+    ErTvgSpec,
     IngestConfig,
     MetricSpec,
     MetricTable,
@@ -678,20 +679,23 @@ def _closed_forms(tvg, first, last):
 
 
 def test_sweeps_equal_their_closed_forms_at_full_scale():
-    # every instant of the seed-1 reference TVG, and instants 31,000-33,999 of a
-    # 34,000-instant TVG (so the int32 matrix) that holds three copies of it, 1000
-    # instants apart: starts in the 200 empty instants after a copy wait for the
-    # next copy, or after the last one are never reached
+    # every instant of the seed-1 reference TVG and of a wide-dense-sized TVG (400
+    # nodes, about 400 contacts per snapshot), and instants 31,000-33,999 of a
+    # 34,000-instant TVG (so the int32 matrix) that holds three copies of the
+    # reference, 1000 instants apart: starts in the 200 empty instants after a copy
+    # wait for the next copy, or after the last one are never reached
     ref = generate_er_tvg(reference_spec(1))
+    wide = generate_er_tvg(ErTvgSpec(400, 120, 0.005, 1))
     n, pad = ref.num_nodes, 31_000
     shifted = [ref.edges + np.array([pad + 1000 * j, 0, 0], dtype=np.int32) for j in range(3)]
     padded = TVG(n, pad + 3000, np.concatenate(shifted))
-    for tvg, first, last in ((ref, 0, ref.num_instants), (padded, pad, pad + 3000)):
+    for tvg, first, last in ((ref, 0, ref.num_instants), (wide, 0, wide.num_instants),
+                             (padded, pad, pad + 3000)):
         tcc1, ct2, unreached = _closed_forms(tvg, first, last)
         table = metric_sweep(tvg, MetricSpec.tcc(1), (first, last))
         assert table.values == tcc1
         assert table.unreached_starts == dict.fromkeys(tcc1, 0)
-        table = metric_sweep(tvg, MetricSpec.ct(Fraction(2, n)), (first, last))
+        table = metric_sweep(tvg, MetricSpec.ct(Fraction(2, tvg.num_nodes)), (first, last))
         assert table.values == ct2
         assert table.unreached_starts == unreached
     assert unreached[pad + 2999] == n  # no contact after the last copy: INF

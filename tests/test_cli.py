@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib
 import math
 import resource
@@ -377,6 +378,61 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_module_run_keeps_its_output_and_exit_codes(small_tvg_path, tmp_path, capsys):
+    # python -m timecent.cli exits through run(): output to a file is still
+    # flushed, and usage and data errors keep their codes and messages
+    expected = run(capsys, "churn", str(small_tvg_path))
+    with open(tmp_path / "churn.txt", "w") as out:
+        child = subprocess.run([sys.executable, "-m", "timecent.cli", "churn", str(small_tvg_path)],
+                               env=child_env(), stdout=out, stderr=subprocess.PIPE, text=True,
+                               timeout=120)
+    assert (child.returncode, (tmp_path / "churn.txt").read_text(), child.stderr) == expected
+    assert "\nchurn_rate " in expected[1]
+    for argv, code, message in (
+        (("rank", "table.csv", "--metric", "ct", "--k", "0", "--out", "r.csv"), 1,
+         "error: k must be at least 1\n"),
+        (("dist", "missing.csv", "--out", "x.csv"), 2, "data error: "),
+    ):
+        child = subprocess.run([sys.executable, "-m", "timecent.cli", *argv], cwd=tmp_path,
+                               env=child_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == code, argv
+        assert child.stderr.startswith(message), child.stderr
+
+
+# a fresh child process that runs timecent.cli.run (first argument "run") or the
+# module as `python -m timecent.cli` does ("module"), with an exit hook that
+# prints whether the garbage collector's objects were frozen at shutdown
+RUN_WITH_EXIT_HOOK = """
+import atexit, gc, runpy, sys
+assert gc.get_freeze_count() == 0
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+if sys.argv.pop(1) == "run":
+    from timecent.cli import run
+    sys.exit(run())
+runpy.run_module("timecent.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_run_freezes_the_collector_before_exit(small_tvg_path, tmp_path):
+    version = f"timecent {timecent.__version__}"
+    for argv, last_output in ((("run", "churn", str(small_tvg_path)), "churn_rate "),
+                              (("run", "--version"), version), (("module", "--version"), version)):
+        child = subprocess.run([sys.executable, "-c", RUN_WITH_EXIT_HOOK, *argv], cwd=tmp_path,
+                               env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stderr) == (0, ""), argv
+        *_, output, hook = child.stdout.splitlines()
+        assert output.startswith(last_output), argv
+        assert hook == "frozen True", argv
+
+
+def test_main_leaves_the_collector_alone(small_tvg_path, capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "churn", str(small_tvg_path))[0] == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == frozen
 
 
 def test_dist_and_rank_refuse_rows_no_sweep_writes(tmp_path, capsys):
