@@ -54,7 +54,15 @@ _HOMES = {
     "rank_instants": "tables",
     "empirical_distribution": "tables",
     "compare_topk_random": "centrality",
+    "check_top_k": "centrality",
     "median": "tables",
+    "format_value": "tables",
+    "comparison_summary": "tables",
+    "read_table_csv": "tables",
+    "write_table_csv": "tables",
+    "write_ranking_csv": "tables",
+    "write_distribution_csv": "tables",
+    "write_comparison_csv": "tables",
     # oracle
     "ExpandedDigraph": "oracle",
     "expand": "oracle",

@@ -11,43 +11,20 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from importlib import import_module
 from typing import Sequence
 
-from . import __version__
-from .tables import (
-    MetricTable,
-    comparison_summary,
-    empirical_distribution,
-    format_value,
-    rank_instants,
-    read_table_csv,
-    write_comparison_csv,
-    write_distribution_csv,
-    write_ranking_csv,
-    write_table_csv,
-)
+from . import _HOMES, __version__
 
-# The numpy-backed names the handlers call, by home module. __getattr__
-# binds one here on first access from outside (PEP 562), and main() binds
-# those of its command's modules before running it. A name already bound
-# is never replaced, so a caller may substitute any of them.
-_ENGINE = {
-    "tvg": ("churn_rate", "load_tvg", "save_tvg"),
-    "synth": ("ErTvgSpec", "generate_er_tvg", "reference_spec"),
-    "ingest": ("IngestConfig", "discretize_with_stats", "parse_contacts"),
-    "centrality": (
-        "MetricSpec", "check_top_k", "compare_topk_random", "default_eval_range", "metric_sweep"
-    ),
-}
+# Handlers call the library's names as module globals. __getattr__ binds one
+# here from the package on first access from outside (PEP 562), and main()
+# binds those of its command's modules before running it. A name already
+# bound is never replaced, so a caller may substitute any of them.
 
 
 def __getattr__(name: str) -> object:
-    for module, names in _ENGINE.items():
-        if name in names:
-            value = getattr(import_module(f".{module}", __package__), name)
-            return globals().setdefault(name, value)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
 class _UsageError(Exception):
@@ -311,16 +288,16 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     return 0
 
 
-# each command's handler and the engine modules it uses
+# each command's handler and the modules it uses
 _COMMANDS = {
     "generate": (_cmd_generate, ("synth", "tvg")),
     "ingest": (_cmd_ingest, ("ingest", "tvg")),
-    "ct": (_cmd_sweep, ("centrality", "tvg")),
-    "tcc": (_cmd_sweep, ("centrality", "tvg")),
-    "dist": (_cmd_dist, ()),
-    "rank": (_cmd_rank, ()),
-    "compare": (_cmd_compare, ("centrality", "tvg")),
-    "churn": (_cmd_churn, ("tvg",)),
+    "ct": (_cmd_sweep, ("centrality", "tables", "tvg")),
+    "tcc": (_cmd_sweep, ("centrality", "tables", "tvg")),
+    "dist": (_cmd_dist, ("tables",)),
+    "rank": (_cmd_rank, ("tables",)),
+    "compare": (_cmd_compare, ("centrality", "tables", "tvg")),
+    "churn": (_cmd_churn, ("tables", "tvg")),
 }
 
 
@@ -329,8 +306,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         handler, modules = _COMMANDS[args.command]
-        for module in modules:
-            for name in _ENGINE[module]:
+        for name, home in _HOMES.items():
+            if home in modules:
                 __getattr__(name)
         return handler(args)
     except _UsageError as exc:

@@ -8,6 +8,7 @@ whole suite is reproducible run to run.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -170,6 +171,28 @@ def test_criterion_3_randomized_tvg_statistics():
         if not ok:
             failures.append(f"{label}: {float(avg):.4g} outside [{float(lo):.4g},{float(hi):.4g}]")
     assert not failures, "; ".join(failures)
+
+
+def test_tcc_phi_1_mean_matches_its_exact_expectation():
+    """tcc(t, 1) = (n + 2 m_t) / n², with m_t ~ Binomial(C(n, 2), p) contacts
+    in snapshot t, so E[tcc(t, 1)] = (1 + (n - 1) p) / n exactly. Snapshots
+    are independent, so the pooled mean over instants and seeds has the exact
+    sd 2 sqrt(C(n, 2) p (1 - p)) / (n² sqrt(instants)); 4 sd is allowed. A
+    generator at 1.1 p (z ~ +12) or 0.9 p (z ~ -11) fails."""
+    n = REFERENCE_NUM_NODES
+    p = REFERENCE_EDGE_PROBABILITY
+    values = [
+        value
+        for seed in STAT_SEEDS
+        for value in _reference_table(seed, MetricSpec.tcc(1)).values.values()
+    ]
+    assert len(values) == len(STAT_SEEDS) * (EVAL_RANGE[1] - EVAL_RANGE[0])
+    expected = (1 + (n - 1) * p) / n
+    sd = 2 * math.sqrt(math.comb(n, 2) * p * (1 - p)) / (n * n * math.sqrt(len(values)))
+    z = (float(sum(values) / len(values)) - expected) / sd
+    ok = abs(z) <= 4
+    _report("model check (tcc phi=1 mean)", ok, f"expected {expected:.7f}, sd {sd:.3g}, z {z:+.2f}")
+    assert ok, f"pooled tcc phi=1 mean is {z:+.2f} sd from {expected:.7f}"
 
 
 def test_criterion_4_topk_superiority():

@@ -497,7 +497,10 @@ def test_package_import_loads_no_numpy():
 MODULES_MAIN = """
 import sys
 from timecent.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # argparse exits after --version
+    code = exc.code
 print(*sorted(name for name in sys.modules if name.split(".")[0] == "timecent"))
 print(*(name for name in ("dataclasses", "inspect") if name in sys.modules))
 sys.exit(code)
@@ -520,10 +523,12 @@ COMMAND_ARGS = {
     "compare": ("small.tvg", "--metric", "tcc", "--phi", "2", "--k", "2", "--seed", "1",
                 "--out", "c.csv"),
     "churn": ("small.tvg",),
+    "--version": (),
 }
 
 
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
+# --version names no module: it loads timecent and timecent.cli only
+@pytest.mark.parametrize("command", [*cli._COMMANDS, "--version"])
 def test_each_command_imports_exactly_the_modules_it_names(command, tmp_path):
     (tmp_path / "log.csv").write_text("0,a,b\n45,b,c\n")
     (tmp_path / "small.tvg").write_text("tvg v1 4 6\n0 0 1\n1 1 2\n2 2 3\n4 0 3\n")
@@ -533,8 +538,9 @@ def test_each_command_imports_exactly_the_modules_it_names(command, tmp_path):
                            timeout=120)
     assert child.returncode == 0, child.stderr
     *_, modules, stdlib = child.stdout.splitlines()
-    named = {f"timecent.{module}" for module in cli._COMMANDS[command][1]}
-    assert set(modules.split()) == {"timecent", "timecent.cli", "timecent.tables"} | named
+    _, homes = cli._COMMANDS.get(command, (None, ()))
+    named = {f"timecent.{module}" for module in homes}
+    assert set(modules.split()) == {"timecent", "timecent.cli"} | named
     assert command not in NO_DATACLASSES or "dataclasses" not in stdlib.split()
     assert command not in NO_INSPECT or "inspect" not in stdlib.split()
 
@@ -564,6 +570,12 @@ def test_trace_hooks_resolve_before_any_command():
     child = subprocess.run([sys.executable, "-c", check, *TRACE_HOOKS], env=child_env(),
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
+
+
+def test_cli_resolves_only_public_names():
+    for name in ("no_such_name", "_sorted_unique"):  # the latter is private to tvg
+        with pytest.raises(AttributeError, match=name):
+            getattr(cli, name)
 
 
 def test_commands_call_what_is_bound_on_the_cli_module(small_tvg_path, tmp_path, capsys,
