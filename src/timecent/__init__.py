@@ -18,16 +18,17 @@ __version__ = "0.1.0"
 # public name -> home module, in __all__ order
 _HOMES = {
     # model
-    "MAX_INSTANTS": "tvg",
+    "MAX_INSTANTS": "tvgtext",
     "TVG": "tvg",
     "Contact": "tvg",
     "TemporalNode": "tvg",
-    "TvgFormatError": "tvg",
+    "TvgFormatError": "tvgtext",
     "churn_rate": "tvg",
     "format_tvg": "tvg",
     "parse_tvg": "tvg",
     "save_tvg": "tvg",
     "load_tvg": "tvg",
+    "small_file_churn_rate": "tvgtext",
     # ingestion
     "ContactColumns": "ingest",
     "IngestConfig": "ingest",

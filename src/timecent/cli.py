@@ -17,8 +17,10 @@ from . import _HOMES, __version__
 
 # Handlers call the library's names as module globals. __getattr__ binds one
 # here from the package on first access from outside (PEP 562), and main()
-# binds those of its command's modules before running it. A name already
-# bound is never replaced, so a caller may substitute any of them.
+# binds those of its command's modules before running it; churn binds
+# load_tvg and churn_rate through __getattr__ only for a file it does not
+# count itself. A name already bound is never replaced, so a caller may
+# substitute any of them.
 
 
 def __getattr__(name: str) -> object:
@@ -282,22 +284,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_churn(args: argparse.Namespace) -> int:
     _print_header(args, {"input": args.input})
-    tvg = load_tvg(args.input)
-    rate = churn_rate(tvg)
+    rate = small_file_churn_rate(args.input)
+    if rate is None:  # a large file, or one with an error to name: numpy reads it
+        rate = __getattr__("churn_rate")(__getattr__("load_tvg")(args.input))
     print(f"churn_rate {format_value(rate)} ({rate.numerator}/{rate.denominator})")
     return 0
 
 
 # each command's handler and the modules it uses
 _COMMANDS = {
-    "generate": (_cmd_generate, ("synth", "tvg")),
-    "ingest": (_cmd_ingest, ("ingest", "tvg")),
-    "ct": (_cmd_sweep, ("centrality", "tables", "tvg")),
-    "tcc": (_cmd_sweep, ("centrality", "tables", "tvg")),
+    "generate": (_cmd_generate, ("synth", "tvg", "tvgtext")),
+    "ingest": (_cmd_ingest, ("ingest", "tvg", "tvgtext")),
+    "ct": (_cmd_sweep, ("centrality", "tables", "tvg", "tvgtext")),
+    "tcc": (_cmd_sweep, ("centrality", "tables", "tvg", "tvgtext")),
     "dist": (_cmd_dist, ("tables",)),
     "rank": (_cmd_rank, ("tables",)),
-    "compare": (_cmd_compare, ("centrality", "tables", "tvg")),
-    "churn": (_cmd_churn, ("tables", "tvg")),
+    "compare": (_cmd_compare, ("centrality", "tables", "tvg", "tvgtext")),
+    "churn": (_cmd_churn, ("tables", "tvgtext")),
 }
 
 

@@ -16,26 +16,14 @@ offset. `TVG.snapshots` is a read-only sequence view over those slices.
 A TVG is built from such rows, TVG(num_nodes, num_instants, rows), given
 in any order; `contacts()` yields them back as `Contact` tuples.
 
-Serialized form ("tvg v1"), byte-deterministic for a given TVG:
-
-    tvg v1 <num_nodes> <num_instants>
-    <time> <a> <b>
-    ...
-
-with a < b on every contact line, lines sorted by (time, a, b), LF line
-endings and a trailing newline. Nodes are the integers 0 to num_nodes - 1;
-a contact log's labels stay with its ingestion (`IngestStats.labels`).
-
-The parser reads any order and skips blank lines. A contact line is three
-fields separated by whitespace: any run of the characters str.split()
-splits on, other than a line end (format_tvg writes one space). Each field,
-and each header count, is an ASCII integer, [+-]?[0-9]+. numpy's loadtxt
-reads exactly this grammar; a line scan with it names the first bad line.
+Its text form, "tvg v1", is described in timecent.tvgtext, which holds
+the parts that need no numpy. format_tvg writes it byte-deterministically
+for a given TVG. parse_tvg reads the body with numpy's loadtxt, which
+reads exactly that grammar; a line scan with it names the first bad line.
 """
 
 from __future__ import annotations
 
-import re
 import warnings
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -44,15 +32,18 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .tvgtext import (
+    FORMAT_HEADER,
+    TvgFormatError,
+    check_instants,
+    check_nodes,
+    churn_fraction,
+    is_field,
+    read_header,
+)
+
 NodeId = int
 TimeIndex = int
-
-FORMAT_HEADER = "tvg v1"
-_is_field = re.compile(r"[+-]?[0-9]+").fullmatch  # a header count or a contact field
-
-# Largest instant count a TVG may have. Its offsets are int64, so they stay
-# within 64 MiB whatever a header or a contact log's time span declares.
-MAX_INSTANTS = 1 << 23
 
 # Largest node count a sweep (centrality.earliest_arrivals, behind every
 # metric) accepts: its state is one n x n matrix, int16 up to 32,767
@@ -60,10 +51,6 @@ MAX_INSTANTS = 1 << 23
 # snapshot's contact rows and one neighbour gather, a pass peaks near 3x
 # that (384 or 768 MiB).
 MAX_SWEEP_NODES = 8192
-
-
-class TvgFormatError(ValueError):
-    """Raised when serialized TVG data cannot be parsed."""
 
 
 class TemporalNode(NamedTuple):
@@ -80,20 +67,6 @@ class Contact(NamedTuple):
     a: NodeId
     b: NodeId
     time: TimeIndex
-
-
-def check_nodes(num_nodes: int) -> None:
-    """ValueError unless 0 <= num_nodes <= 2**31 - 1: node ids are int32."""
-    if not 0 <= num_nodes <= np.iinfo(np.int32).max:
-        raise ValueError(f"num_nodes must be in [0, 2**31 - 1], got {num_nodes}")
-
-
-def check_instants(num_instants: int) -> None:
-    """ValueError unless 1 <= num_instants <= MAX_INSTANTS."""
-    if not 1 <= num_instants <= MAX_INSTANTS:
-        raise ValueError(
-            f"num_instants must be in [1, {MAX_INSTANTS}] (MAX_INSTANTS), got {num_instants}"
-        )
 
 
 def _integers(values) -> np.ndarray:
@@ -277,12 +250,7 @@ def churn_rate(tvg: TVG) -> Fraction:
     key = np.sort(pair * stride + tvg.edges[:, 0])
     overlap = int(np.count_nonzero(key[1:] - key[:-1] == 1))
     m = tvg.num_contacts()
-    ends = int(tvg.offsets[1]) + m - int(tvg.offsets[-2])
-    flipped = 2 * m - ends - 2 * overlap
-    active = flipped + overlap
-    if active == 0:
-        return Fraction(0)
-    return Fraction(flipped, active)
+    return churn_fraction(m, int(tvg.offsets[1]), m - int(tvg.offsets[-2]), overlap)
 
 
 # rows format_tvg renders at a time, so that few of their Python ints are alive at once
@@ -319,17 +287,7 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
         header = next(it)
     except StopIteration:
         raise TvgFormatError("empty input, missing header") from None
-    fields = header.split()
-    if len(fields) != 4 or fields[0] != "tvg" or fields[1] != "v1":
-        raise TvgFormatError(f"bad header: {header.strip()!r}")
-    try:
-        if not all(map(_is_field, fields[2:])):
-            raise ValueError("each count is [+-]?[0-9]+")
-        num_nodes, num_instants = int(fields[2]), int(fields[3])
-        check_nodes(num_nodes)
-        check_instants(num_instants)
-    except ValueError as exc:
-        raise TvgFormatError(f"bad header counts: {header.strip()!r} ({exc})") from None
+    num_nodes, num_instants = read_header(header)
     if start is None and it is lines:
         lines = [header, *it]  # a one-shot iterator: keep its lines for the scan
         it = iter(lines)
@@ -362,7 +320,7 @@ def _scan_rows(body: Iterable[str], num_nodes: int, num_instants: int) -> np.nda
     malformed = None  # what is wrong with the line after the last record read
     for line in body:
         parts = line.split()
-        if len(parts) == 3 and all(map(_is_field, parts)):
+        if len(parts) == 3 and all(map(is_field, parts)):
             values += map(int, parts)
         elif parts:
             malformed = "non-integer field" if len(parts) == 3 else "expected '<time> <a> <b>'"

@@ -13,6 +13,7 @@ import pytest
 import timecent
 import timecent.cli as cli
 from timecent.cli import main
+from timecent.tvgtext import SMALL_TVG_BYTES
 from conftest import child_env
 
 
@@ -493,7 +494,7 @@ def test_package_import_loads_no_numpy():
 
 
 # timecent.cli.main in a child process that then prints the timecent modules it
-# loaded, and on a last line which of dataclasses and inspect it loaded
+# loaded, and on a last line which of dataclasses, inspect and numpy it loaded
 MODULES_MAIN = """
 import sys
 from timecent.cli import main
@@ -502,7 +503,7 @@ try:
 except SystemExit as exc:  # argparse exits after --version
     code = exc.code
 print(*sorted(name for name in sys.modules if name.split(".")[0] == "timecent"))
-print(*(name for name in ("dataclasses", "inspect") if name in sys.modules))
+print(*(name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules))
 sys.exit(code)
 """
 
@@ -511,7 +512,8 @@ sys.exit(code)
 NO_DATACLASSES = {"ct", "tcc", "compare", "churn", "dist", "rank"}
 NO_INSPECT = {"dist", "rank"}
 
-# a run of each command on the small inputs its test writes
+# a run of each command on the small inputs its test writes, and "churn-large":
+# churn of a file padded to the size constant, which it reads with timecent.tvg
 COMMAND_ARGS = {
     "generate": ("--nodes", "6", "--instants", "4", "--prob", "0.5", "--seed", "1",
                  "--out", "g.tvg"),
@@ -524,23 +526,30 @@ COMMAND_ARGS = {
                 "--out", "c.csv"),
     "churn": ("small.tvg",),
     "--version": (),
+    "churn-large": ("large.tvg",),
 }
 
 
 # --version names no module: it loads timecent and timecent.cli only
-@pytest.mark.parametrize("command", [*cli._COMMANDS, "--version"])
-def test_each_command_imports_exactly_the_modules_it_names(command, tmp_path):
+@pytest.mark.parametrize("case", [*cli._COMMANDS, "--version", "churn-large"])
+def test_each_command_imports_exactly_the_modules_it_names(case, tmp_path):
+    small = "tvg v1 4 6\n0 0 1\n1 1 2\n2 2 3\n4 0 3\n"
     (tmp_path / "log.csv").write_text("0,a,b\n45,b,c\n")
-    (tmp_path / "small.tvg").write_text("tvg v1 4 6\n0 0 1\n1 1 2\n2 2 3\n4 0 3\n")
+    (tmp_path / "small.tvg").write_text(small)
+    (tmp_path / "large.tvg").write_text(small + "\n" * (SMALL_TVG_BYTES - len(small)))
     (tmp_path / "table.csv").write_text("time_index,value,unreached_starts\n0,1.5,0\n1,inf,1\n")
-    child = subprocess.run([sys.executable, "-c", MODULES_MAIN, command, *COMMAND_ARGS[command]],
+    command = "churn" if case == "churn-large" else case
+    child = subprocess.run([sys.executable, "-c", MODULES_MAIN, command, *COMMAND_ARGS[case]],
                            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
                            timeout=120)
     assert child.returncode == 0, child.stderr
     *_, modules, stdlib = child.stdout.splitlines()
     _, homes = cli._COMMANDS.get(command, (None, ()))
     named = {f"timecent.{module}" for module in homes}
+    if case == "churn-large":
+        named.add("timecent.tvg")
     assert set(modules.split()) == {"timecent", "timecent.cli"} | named
+    assert ("numpy" in stdlib.split()) == ("timecent.tvg" in named)
     assert command not in NO_DATACLASSES or "dataclasses" not in stdlib.split()
     assert command not in NO_INSPECT or "inspect" not in stdlib.split()
 
@@ -582,7 +591,10 @@ def test_commands_call_what_is_bound_on_the_cli_module(small_tvg_path, tmp_path,
                                                        monkeypatch):
     table = tmp_path / "tcc.csv"
     assert run(capsys, "tcc", str(small_tvg_path), "--phi", "3", "--out", str(table))[0] == 0
-    churn = ("churn", str(small_tvg_path))
+    large = tmp_path / "large.tvg"  # at the size constant, so churn reads it with load_tvg
+    text = small_tvg_path.read_text()
+    large.write_text(text + "\n" * (SMALL_TVG_BYTES - len(text)))
+    churn = ("churn", str(large))
     rank = ("rank", str(table), "--metric", "tcc", "--k", "3", "--out", str(tmp_path / "r.csv"))
     for name, argv in (("load_tvg", churn), ("churn_rate", churn),
                        ("read_table_csv", rank), ("rank_instants", rank)):
@@ -596,3 +608,7 @@ def test_commands_call_what_is_bound_on_the_cli_module(small_tvg_path, tmp_path,
             patch.setattr(cli, name, counting)
             assert run(capsys, *argv)[0] == 0
         assert len(calls) == 1, name
+    with monkeypatch.context() as patch:  # a small file is counted without either
+        for name in ("load_tvg", "churn_rate"):
+            patch.setattr(cli, name, None)
+        assert run(capsys, "churn", str(small_tvg_path))[0] == 0
