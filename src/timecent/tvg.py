@@ -19,15 +19,16 @@ in any order; `contacts()` yields them back as `Contact` tuples.
 Its text form, "tvg v1", is described in timecent.tvgtext, which holds
 the parts that need no numpy. format_tvg writes it byte-deterministically
 for a given TVG. parse_tvg reads the body with numpy's loadtxt, which
-reads exactly that grammar; a line scan with it names the first bad line.
+reads exactly that grammar; when loadtxt fails, tvgtext.read_rows reads
+the body again line by line and names the first bad line.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -38,8 +39,9 @@ from .tvgtext import (
     check_instants,
     check_nodes,
     churn_fraction,
-    is_field,
+    contact_error,
     read_header,
+    read_rows,
 )
 
 NodeId = int
@@ -47,9 +49,9 @@ TimeIndex = int
 
 # Largest node count a sweep (centrality.earliest_arrivals, behind every
 # metric) accepts: its state is one n x n matrix, int16 up to 32,767
-# instants (128 MiB at this size) and int32 beyond (256 MiB). With a
-# snapshot's contact rows and one neighbour gather, a pass peaks near 3x
-# that (384 or 768 MiB).
+# instants (128 MiB at this size) and int32 beyond (256 MiB). A pass peaked
+# at 3.1-3.5x the int16 matrix and 3.1-3.2x the int32 one (tracemalloc, 2048
+# and 4096 nodes, 3 contacts per node per snapshot): 400-440 or 780-830 MiB.
 MAX_SWEEP_NODES = 8192
 
 
@@ -70,8 +72,7 @@ class Contact(NamedTuple):
 
 
 def _integers(values) -> np.ndarray:
-    """values (ints, or strings that int() reads) as an int64 array, or as
-    Python ints if one overflows int64."""
+    """values (ints) as an int64 array, or as Python ints if one overflows int64."""
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:  # such a value is out of range; the checks still find it
@@ -85,12 +86,7 @@ def _first_invalid(rows: np.ndarray, num_nodes: int, num_instants: int) -> tuple
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    t, a, b = rows[i].tolist()
-    if not 0 <= t < num_instants:
-        return i, f"time {t} out of range [0,{num_instants})"
-    if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-        return i, f"node out of range: contact ({a},{b}) at time {t}, node range [0,{num_nodes})"
-    return i, f"contact ({a},{b}) at time {t} must satisfy a < b"
+    return i, contact_error(*rows[i].tolist(), num_nodes, num_instants)
 
 
 def _sorted_unique(rows: np.ndarray, num_nodes: int, num_instants: int) -> np.ndarray:
@@ -276,9 +272,10 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
     """Parse the tvg v1 text form; raises TvgFormatError on bad input.
 
     numpy's loadtxt reads the body after the header. If it fails, or a row
-    is out of range, a line scan finds the first bad line and names it.
+    is out of range, tvgtext.read_rows reads the body again and names the
+    first bad line.
     """
-    try:  # where the scan reads a stream again from
+    try:  # where read_rows reads a stream again from
         start = lines.tell() if lines.seekable() else None
     except (AttributeError, OSError):
         start = None
@@ -289,13 +286,13 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
         raise TvgFormatError("empty input, missing header") from None
     num_nodes, num_instants = read_header(header)
     if start is None and it is lines:
-        lines = [header, *it]  # a one-shot iterator: keep its lines for the scan
+        lines = [header, *it]  # a one-shot iterator: keep its lines for read_rows
         it = iter(lines)
         next(it)
     try:
         with warnings.catch_warnings():
             # numpy < 2 reads "1.5" as an integer with a DeprecationWarning,
-            # and an empty body warns; both go to the scan
+            # and an empty body warns; both go to read_rows
             warnings.simplefilter("error")
             rows = np.loadtxt(it, dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, OverflowError, Warning):
@@ -303,39 +300,12 @@ def parse_tvg(lines: Iterable[str]) -> TVG:
     else:
         try:
             return TVG(num_nodes, num_instants, rows)
-        except ValueError:  # a row of the wrong shape or out of range: the scan names its line
+        except ValueError:  # a row of the wrong shape or out of range: read_rows names its line
             pass
     if start is not None:
         lines.seek(start)
-    it = iter(lines)
-    next(it)
-    return TVG(num_nodes, num_instants, _scan_rows(it, num_nodes, num_instants))
-
-
-def _scan_rows(body: Iterable[str], num_nodes: int, num_instants: int) -> np.ndarray:
-    """The rows of a tvg v1 body, read line by line with the module doc's
-    grammar; TvgFormatError names the first bad line."""
-    values: list[int] = []
-    blanks: list[int] = []  # records read before each blank line
-    malformed = None  # what is wrong with the line after the last record read
-    for line in body:
-        parts = line.split()
-        if len(parts) == 3 and all(map(is_field, parts)):
-            values += map(int, parts)
-        elif parts:
-            malformed = "non-integer field" if len(parts) == 3 else "expected '<time> <a> <b>'"
-            break
-        else:
-            blanks.append(len(values) // 3)
-    rows = _integers(values).reshape(-1, 3)
-    del values  # the int objects outweigh the array
-    invalid = _first_invalid(rows, num_nodes, num_instants)
-    if invalid is None and malformed is not None:
-        invalid = (len(rows), malformed)
-    if invalid is not None:
-        index, message = invalid
-        raise TvgFormatError(f"line {index + 2 + bisect_right(blanks, index)}: {message}")
-    return rows
+    rows = chain.from_iterable(read_rows(islice(lines, 1, None), num_nodes, num_instants))
+    return TVG(num_nodes, num_instants, np.fromiter(rows, np.int64).reshape(-1, 3))
 
 
 def load_tvg(path: str) -> TVG:

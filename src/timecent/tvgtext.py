@@ -1,5 +1,5 @@
-"""The `tvg v1` text form without numpy: its header, the limits on its
-counts, the churn formula, and a churn count of small files.
+"""The `tvg v1` text form without numpy: its header and line reader, the
+limits on its counts, the churn formula, and a churn count of small files.
 
     tvg v1 <num_nodes> <num_instants>
     <time> <a> <b>
@@ -13,9 +13,9 @@ with its ingestion (`IngestStats.labels`).
 A reader takes any order and skips blank lines. A contact line is three
 fields separated by whitespace: any run of the characters str.split()
 splits on, other than a line end (format_tvg writes one space). Each
-field, and each header count, is an ASCII integer, [+-]?[0-9]+.
-timecent.tvg.parse_tvg reads any such text and names its first bad line;
-small_file_churn_rate counts the small files that have none.
+field, and each header count, is an ASCII integer, [+-]?[0-9]+, of any
+length. read_rows reads this grammar and names the first bad line, for
+timecent.tvg.parse_tvg and for small_file_churn_rate.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import os
 import re
 import stat
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 FORMAT_HEADER = "tvg v1"
 is_field = re.compile(r"[+-]?[0-9]+").fullmatch  # a header count or a contact field
@@ -33,7 +34,7 @@ is_field = re.compile(r"[+-]?[0-9]+").fullmatch  # a header count or a contact f
 MAX_INSTANTS = 1 << 23
 
 # Files of fewer bytes are counted by small_file_churn_rate, which holds
-# their lines and one key per contact, about 20 bytes per byte read. Below
+# their text and one key per contact, about 20 bytes per byte read. Below
 # this size, counting with Python ints costs less than importing numpy:
 # the whole `churn` command broke even at about 505 KB (see README).
 SMALL_TVG_BYTES = 384 << 10
@@ -73,6 +74,45 @@ def read_header(header: str) -> tuple[int, int]:
     return num_nodes, num_instants
 
 
+def contact_error(t, a, b, num_nodes: int, num_instants: int) -> str:
+    """Why the row (t, a, b) is not a contact: its time, its nodes, or a >= b."""
+    if not 0 <= t < num_instants:
+        return f"time {t} out of range [0,{num_instants})"
+    if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+        return f"node out of range: contact ({a},{b}) at time {t}, node range [0,{num_nodes})"
+    return f"contact ({a},{b}) at time {t} must satisfy a < b"
+
+
+def _field_value(field: str) -> int | float:
+    """The integer a [+-]?[0-9]+ field spells, or +-inf past the digits int() reads."""
+    sign = -1 if field[0] == "-" else 1
+    try:
+        return sign * int(field.lstrip("+-").lstrip("0") or "0")
+    except ValueError:
+        return sign * float("inf")  # out of range, and too long to print
+
+
+def read_rows(lines: Iterable[str], num_nodes: int, num_instants: int) -> Iterator[tuple]:
+    """The (time, a, b) row of each contact line of `lines`, a tvg v1 body
+    (line 2 on); TvgFormatError names the first line that is not one."""
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split()
+        if len(fields) == 3:
+            t, a, b = fields
+            digits = t + a + b  # int() reads 640 digits whatever sys.set_int_max_str_digits says
+            if digits.isdigit() and digits.isascii() and len(digits) < 640:
+                t, a, b = int(t), int(a), int(b)
+            elif all(map(is_field, fields)):
+                t, a, b = map(_field_value, fields)
+            else:
+                raise TvgFormatError(f"line {lineno}: non-integer field")
+            if not (0 <= t < num_instants and 0 <= a < b < num_nodes):
+                raise TvgFormatError(f"line {lineno}: {contact_error(t, a, b, num_nodes, num_instants)}")
+            yield t, a, b
+        elif fields:
+            raise TvgFormatError(f"line {lineno}: expected '<time> <a> <b>'")
+
+
 def churn_fraction(contacts: int, first: int, last: int, overlap: int) -> Fraction:
     """The churn rate (timecent.tvg.churn_rate) of a TVG of at least 2
     instants with `contacts` contacts, `first` of them at instant 0, `last`
@@ -91,9 +131,9 @@ def small_file_churn_rate(path: str) -> Fraction | None:
     """churn_rate(load_tvg(path)) counted with Python ints, or None.
 
     It counts a regular file of fewer than SMALL_TVG_BYTES bytes of ASCII
-    text, with a valid header of at least 2 instants and only blank or
-    contact lines whose fields are unsigned. Every other file gives None,
-    and load_tvg and churn_rate then read it and name what is wrong.
+    text that load_tvg accepts, with at least 2 instants. Every other file
+    gives None, and load_tvg and churn_rate then read it and name what is
+    wrong.
 
     Each contact is one key (a * n + b) * (N + 1) + t, so repeated lines
     collapse; the overlap counts the keys whose successor is a key.
@@ -112,23 +152,12 @@ def small_file_churn_rate(path: str) -> Fraction | None:
     header, _, body = text.partition("\n")
     try:
         num_nodes, num_instants = read_header(header)
+        if num_instants < 2:
+            return None
+        n, stride = num_nodes, num_instants + 1
+        keys = {(a * n + b) * stride + t for t, a, b in read_rows(body.split("\n"), n, num_instants)}
     except TvgFormatError:
         return None
-    if num_instants < 2:
-        return None
-    n, stride = num_nodes, num_instants + 1
-    keys = set()
-    for fields in map(str.split, body.split("\n")):
-        if len(fields) == 3:
-            t, a, b = fields
-            digits = t + a + b  # int() reads 640 digits whatever sys.set_int_max_str_digits says
-            if digits.isdigit() and len(digits) < 640:
-                t, a, b = int(t), int(a), int(b)
-                if t < num_instants and a < b < n:
-                    keys.add((a * n + b) * stride + t)
-                    continue
-        if fields:
-            return None
     times = [key % stride for key in keys]
     overlap = len(keys.intersection([key + 1 for key in keys]))
     return churn_fraction(len(keys), times.count(0), times.count(num_instants - 1), overlap)

@@ -13,10 +13,12 @@ exception with the same first-bad-line message.
 from __future__ import annotations
 
 import io
+import os
+import tempfile
 from bisect import bisect_right
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timecent import (
@@ -25,11 +27,13 @@ from timecent import (
     IngestConfig,
     IngestStats,
     TvgFormatError,
+    churn_rate,
     discretize_with_stats,
     parse_contacts,
     parse_tvg,
 )
-from timecent.tvg import _first_invalid, _integers, _scan_rows, check_instants
+from timecent.tvg import _first_invalid, _integers, check_instants
+from timecent.tvgtext import read_rows, small_file_churn_rate
 
 
 def reference_parse_contacts(src):
@@ -247,7 +251,7 @@ def scan_outcome(text):
     """What the line scan alone gives for a tvg v1 text."""
     header, *body = io.StringIO(text)
     num_nodes, num_instants = map(int, header.split()[2:])
-    return outcome(lambda: TVG(num_nodes, num_instants, _scan_rows(body, num_nodes, num_instants)))
+    return outcome(lambda: TVG(num_nodes, num_instants, list(read_rows(body, num_nodes, num_instants))))
 
 
 ANY_FIELD = st.one_of(
@@ -264,7 +268,18 @@ def any_line(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tvg_texts(st.one_of(any_line(), TVG_LINE)))
+@example("tvg v1 4 3\n+0 0 1\n1 00 1\n1 -0 3\n2 1 2\n")  # signed fields, which texts drawn rarely accept
 def test_loadtxt_and_the_scan_read_one_grammar(text):
     """Whatever loadtxt accepts, the scan accepts with the same rows; what it
-    rejects, the scan rejects with the first bad line."""
+    rejects, the scan rejects with the first bad line. churn counts an ASCII
+    file of at least 2 instants without numpy exactly when parse_tvg accepts
+    it, and finds churn_rate's value."""
     assert outcome(parse_tvg, io.StringIO(text)) == scan_outcome(text)
+    if text.isascii() and int(text.split()[3]) >= 2:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.tvg")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            counted = small_file_churn_rate(path)
+        tvg = outcome(parse_tvg, io.StringIO(text))
+        assert counted == (None if isinstance(tvg, tuple) else churn_rate(tvg))

@@ -196,6 +196,13 @@ def test_save_load_round_trip(tmp_path, chain4):
         ("tvg v1 2 2\n0 0 1\n0 1\n0 0 x\n", "line 3: expected"),
         ("tvg v1 2 2\n1 0 99999999999999999999\n", "line 2: node out of range"),
         ("tvg v1 2 2\n-99999999999999999999 0 1\n", "line 2: time -99999999999999999999"),
+        # more digits than int() reads: zero-led fields are read, others are out of range
+        pytest.param("tvg v1 3 4\n0 0 " + "0" * 5000 + "1\n1 x 2\n", "^line 3: non-integer field$",
+                     id="zero-led-5001-digits"),
+        pytest.param("tvg v1 3 4\n0 0 1\n1 0 " + "9" * 5001 + "\n",
+                     r"^line 3: node out of range: contact \(0,inf\)", id="node-5001-digits"),
+        pytest.param("tvg v1 3 4\n-" + "9" * 5001 + " 0 1\n", r"^line 2: time -inf out of range \[0,4\)$",
+                     id="time-minus-5001-digits"),
         # fields and header counts are ASCII [+-]?[0-9]+, whatever else int() reads
         ("tvg v1 2 2\n0 0 1\n1_0 0 1\n", "line 3: non-integer field"),
         ("tvg v1 2 2\n0 0 \u0661\n", "line 2: non-integer field"),

@@ -81,6 +81,7 @@ CASES = [
     "tvg v1 3 2\n0 1 2 0\n", "tvg v1 3 2\n0 1\n", "tvg v1 3 2\n# 0 1 2\n",
     "tvg v1 3 2\n0 1_0 2\n", "tvg v1 3 2\n0 1.0 2\n", "tvg v1 3 2\n0 ١ 2\n",
     "tvg v1 3 2\n0 0 " + "0" * 5000 + "1\n",  # more digits than int() reads by default
+    "tvg v1 3 4\n0 0 " + "0" * 5000 + "1\n1 x 2\n", "tvg v1 3 4\n0 0 1\n1 0 " + "9" * 5001 + "\n",
     "tvg v1 3 3\r\n0 0 1\r\n1 0 1\r\n", "tvg v1 3 3\r0 0 1\r1 0 1\r2 1 2",  # CRLF, CR
     "tvg v1 3 2\n0 0\r1\n",  # a CR ends a line
     f"tvg v1 {2**31 - 1} 3\n0 0 {2**31 - 2}\n1 0 {2**31 - 2}\n2 {2**31 - 3} {2**31 - 2}\n",
