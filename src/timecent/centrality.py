@@ -86,8 +86,10 @@ class CoverageThreshold(NamedTuple):
         return cls(frac, required)
 
 
-# Instants whose arcs are laid out at once: bounds the arrays a pass holds.
+# Instants whose arcs are laid out at once, and the most contacts they may
+# hold unless one snapshot alone holds more: bound the arrays a pass holds.
 _CHUNK = 1024
+_ARCS = 1 << 16
 
 
 def earliest_arrivals(
@@ -110,9 +112,10 @@ def earliest_arrivals(
     neighbours of u at t, with E_{t+1}[w, w] = t. A snapshot rewrites only
     the rows of its contact nodes, and every step writes the diagonal once;
     the n^2 work is the caller's reduction at each yielded instant. Arcs are
-    laid out _CHUNK snapshots at a time by two sorts of int64 keys. E is one
-    array updated in place: reduce it before the next iteration. It holds
-    n^2 entries, so the pass refuses n > MAX_SWEEP_NODES before it starts.
+    laid out _CHUNK snapshots or _ARCS contacts at a time by two sorts of
+    int64 keys. E is one array updated in place: reduce it before the next
+    iteration. It holds n^2 entries, so the pass refuses n > MAX_SWEEP_NODES
+    before it starts.
 
     rows is None at the first yield, where every row is new, and after that
     snapshot t's distinct contact nodes (empty for an empty snapshot). A
@@ -129,9 +132,11 @@ def earliest_arrivals(
     diagonal = arrival.reshape(-1)[:: n + 1]
     diagonal[:] = top  # before step t it holds E_{t+1}[w, w] = t
     no_rows = np.empty(0, dtype=tvg.edges.dtype)  # what an empty snapshot rewrites
-    # chunks above the first yield stop at it, so a caller that stops there lays out no more
-    for hi in (*range(top, last - 2, -_CHUNK), *range(last - 2, first - 1, -_CHUNK)):
+    hi = top
+    while hi >= first:
+        # chunks above the first yield stop at it, so a caller that stops there lays out no more
         lo = max(first if hi < last - 1 else last - 1, hi - _CHUNK + 1)
+        lo = max(lo, min(hi, int(np.searchsorted(tvg.offsets, tvg.offsets[hi + 1] - _ARCS))))
         block = tvg.edges[tvg.offsets[lo] : tvg.offsets[hi + 1]]
         # one arc per contact end, by its unique key ((time - lo) * n + node) * n + nbr
         key = (block[:, 0] - lo).astype(np.int64) * n
@@ -174,6 +179,7 @@ def earliest_arrivals(
             diagonal[:] = t - 1
             if t < last:
                 yield t, arrival, None if t == last - 1 else nodes
+        hi = lo - 1
 
 
 def spread_milestones(

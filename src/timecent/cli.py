@@ -64,11 +64,6 @@ def _write_text(path: str, writer) -> None:
         writer(fh)
 
 
-# A sweep is one single-threaded pass; the flag is kept so that existing
-# command lines still run, and its value is echoed in the header as given.
-WORKERS_HELP = "accepted for compatibility, no effect on the sweep"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="timecent", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"timecent {__version__}")
@@ -97,15 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("ct", "cover-time sweep over an instant range"),
         ("tcc", "time-constrained-coverage sweep over an instant range"),
+        ("compare", "top-k instants vs a random baseline"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="tvg v1 file")
-        if name == "ct":
-            p.add_argument("--tau", required=True, help="fraction of nodes to cover, decimal")
-        else:
-            p.add_argument("--phi", type=int, required=True, help="step budget")
-        p.add_argument("--range", dest="eval_range", default=None, help="FIRST:LAST, half open")
-        p.add_argument("--workers", type=int, default=0, help=WORKERS_HELP)
+        p.add_argument("--tau", help="fraction of nodes to cover (ct), decimal")
+        p.add_argument("--phi", type=int, help="step budget (tcc)")
+        if name == "compare":
+            p.add_argument("--metric", choices=("ct", "tcc"), required=True, help="metric to sweep")
+            p.add_argument("--k", type=int, default=10, help="top set size")
+            p.add_argument("--seed", type=int, required=True, help="seed for the random baseline")
+        p.add_argument("--range", dest="eval_range", help="FIRST:LAST, half open")
+        # a sweep is one single-threaded pass; the flag keeps old command lines
+        # running, and its value is echoed in the header as given
+        p.add_argument("--workers", type=int, default=0, help="no effect, kept for compatibility")
         p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("dist", help="empirical distribution of a metric table")
@@ -117,17 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", help="metric CSV from ct/tcc")
     p.add_argument("--metric", choices=("ct", "tcc"), required=True, help="metric kind of the table")
     p.add_argument("--k", type=int, required=True, help="number of instants to keep")
-    p.add_argument("--out", required=True, help="output CSV path")
-
-    p = sub.add_parser("compare", help="top-k instants vs a random baseline")
-    p.add_argument("input", help="tvg v1 file")
-    p.add_argument("--metric", choices=("ct", "tcc"), required=True, help="metric to sweep")
-    p.add_argument("--tau", default=None, help="fraction of nodes to cover (ct), decimal")
-    p.add_argument("--phi", type=int, default=None, help="step budget (tcc)")
-    p.add_argument("--k", type=int, default=10, help="top set size")
-    p.add_argument("--seed", type=int, required=True, help="seed for the random baseline")
-    p.add_argument("--range", dest="eval_range", default=None, help="FIRST:LAST, half open")
-    p.add_argument("--workers", type=int, default=0, help=WORKERS_HELP)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("churn", help="contact churn rate of a TVG")
@@ -198,7 +187,7 @@ def _sweep_args_to_spec(args: argparse.Namespace) -> MetricSpec:
     own, other = ("tau", "phi") if kind == "ct" else ("phi", "tau")
     if getattr(args, own) is None:
         raise _UsageError(f"{kind} needs --{own}")
-    if getattr(args, other, None) is not None:  # ct and tcc have no such flag
+    if getattr(args, other) is not None:
         raise _UsageError(f"--{other} does not apply to {kind}")
     try:
         return MetricSpec.ct(args.tau) if kind == "ct" else MetricSpec.tcc(args.phi)

@@ -49,9 +49,10 @@ TimeIndex = int
 
 # Largest node count a sweep (centrality.earliest_arrivals, behind every
 # metric) accepts: its state is one n x n matrix, int16 up to 32,767
-# instants (128 MiB at this size) and int32 beyond (256 MiB). A pass peaked
-# at 3.1-3.5x the int16 matrix and 3.1-3.2x the int32 one (tracemalloc, 2048
-# and 4096 nodes, 3 contacts per node per snapshot): 400-440 or 780-830 MiB.
+# instants (128 MiB at this size) and int32 beyond (256 MiB). A short pass
+# peaked at 3.0-3.3x either matrix (tracemalloc, 2048 and 4096 nodes, 3
+# contacts per node per snapshot) and a long one ~4 MiB more: 390-425 or
+# 775-810 MiB. No snapshot is split: one of over 2^16 contacts costs ~100 B each.
 MAX_SWEEP_NODES = 8192
 
 

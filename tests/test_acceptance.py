@@ -195,6 +195,44 @@ def test_tcc_phi_1_mean_matches_its_exact_expectation():
     assert ok, f"pooled tcc phi=1 mean is {z:+.2f} sd from {expected:.7f}"
 
 
+def test_ct_two_nodes_mean_matches_its_geometric_expectation():
+    """A start informs nobody until it has a contact, and it has one in a
+    snapshot w.p. q = 1 - r, r = (1 - p)^(n - 1). So its cover step at
+    tau = 2/n is geometric, and E[ct(t, 2/n)] = 1/q = 20.33 exactly: the
+    instants 0-499 have at least 300 steps left, so no start runs out.
+
+    The step from (u, t) is W_u(t) = sum over j >= 0 of [u silent in
+    snapshots t .. t+j-1]. u and v are both silent in a snapshot w.p.
+    r^2 / (1 - p), as they share one pair, so Cov(W_u(t), W_v(t + d)) =
+    r^|d| g, with g = r / q^2 for u = v and g = (r + y) / ((1 - y) q) -
+    r / q^2, y = r^2 / (1 - p), for u != v. That gives a per-seed mean an
+    sd of 0.530 (seeds 1-20 gave 0.507) and the pooled mean of 5 seeds
+    0.237; 4 sd is allowed. A generator at 1.1 p (z ~ -9) or 0.9 p
+    (z ~ +8) fails."""
+    n = REFERENCE_NUM_NODES
+    p = REFERENCE_EDGE_PROBABILITY
+    instants = 500
+    r = (1 - p) ** (n - 1)
+    q = 1 - r
+    y = r * r / (1 - p)
+    g_same, g_cross = r / q**2, (r + y) / ((1 - y) * q) - r / q**2
+    lags = instants + 2 * sum((instants - d) * r**d for d in range(1, instants))
+    sd = math.sqrt(lags * (g_same + (n - 1) * g_cross) / (n * instants**2 * len(STAT_SEEDS)))
+    values = [
+        value
+        for seed in STAT_SEEDS
+        for value in metric_sweep(
+            _reference_tvg(seed), MetricSpec.ct(Fraction(2, n)), (0, instants)
+        ).values.values()
+    ]
+    assert len(values) == len(STAT_SEEDS) * instants
+    assert INF not in values
+    z = (float(sum(values) / len(values)) - 1 / q) / sd
+    ok = abs(z) <= 4
+    _report("model check (ct tau=2/n mean)", ok, f"expected {1 / q:.4f}, sd {sd:.3g}, z {z:+.2f}")
+    assert ok, f"pooled ct tau=2/n mean is {z:+.2f} sd from {1 / q:.4f}"
+
+
 def test_criterion_4_topk_superiority():
     """Top-10 beats the random baseline on at least 18 of 20 seeds per metric."""
     ct_fail = 0

@@ -287,6 +287,25 @@ def test_ct_sweep_holds_no_partitioned_copy_into_the_next_snapshot():
     assert peak < 4 * n * n * 2
 
 
+def test_long_dense_sweep_lays_out_a_bounded_number_of_contacts():
+    # 256 nodes, three perfect matchings per instant, 191k contacts in 500
+    # instants, swept over 480. Laying out 1024 snapshots at once peaked at
+    # 19.2 MiB; chunks of at most _ARCS = 2^16 contacts (about 100 B each) at 7.5.
+    rng = np.random.default_rng(3)
+    n, big_n = 256, 500
+    pairs = np.sort([rng.permutation(n).reshape(-1, 2) for _ in range(3 * big_n)], axis=2)
+    times = np.repeat(np.arange(big_n), 3 * n // 2)
+    tvg = TVG(n, big_n, np.column_stack((times, pairs.reshape(-1, 2))))
+    for spec in (MetricSpec.tcc(10), MetricSpec.ct("0.5")):
+        tracemalloc.start()
+        try:
+            metric_sweep(tvg, spec, (0, 480))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, spec
+
+
 def test_metric_sweep_range_validation(chain4):
     with pytest.raises(ValueError):
         metric_sweep(chain4, MetricSpec.tcc(1), (0, 9))
@@ -734,13 +753,16 @@ def test_metric_sweep_is_independent_of_chunking(monkeypatch):
     rng = random.Random(77)
     tvgs = [random_tvg(rng, max_instants=30) for _ in range(12)]
     specs = [MetricSpec.ct("0.5"), MetricSpec.ct("1"), MetricSpec.tcc(1), MetricSpec.tcc(4)]
+    big, budget = centrality._CHUNK, centrality._ARCS
     for tvg in tvgs:
         last = rng.randint(1, tvg.num_instants)
         first = rng.randrange(last)
         whole = [metric_sweep(tvg, spec, (first, last)) for spec in specs]
         single = [tcc(tvg, t, 4) for t in range(tvg.num_instants)]
-        for chunk in (1, 2, 5):
+        # a chunk ends after `chunk` snapshots, or before it holds more than `arcs` contacts
+        for chunk, arcs in ((1, budget), (2, budget), (5, budget), (big, 1), (big, 5), (2, 5)):
             monkeypatch.setattr(centrality, "_CHUNK", chunk)
+            monkeypatch.setattr(centrality, "_ARCS", arcs)
             for spec, table in zip(specs, whole):
                 again = metric_sweep(tvg, spec, (first, last))
                 assert again.values == table.values

@@ -348,11 +348,21 @@ def test_compare_refuses_a_range_too_small_for_k_before_sweeping(small_tvg_path,
     assert not out.exists()
 
 
+def _sweep_argv(command, metric, path, out):
+    """A ct, tcc or compare run of `metric` on `path`, without --tau or --phi."""
+    if command == "compare":
+        return [command, str(path), "--metric", metric, "--k", "4", "--seed", "7", "--out", str(out)]
+    return [command, str(path), "--out", str(out)]
+
+
 def test_compare_requires_metric_parameter(small_tvg_path, tmp_path, capsys):
-    code, _, err = run(capsys, "compare", str(small_tvg_path), "--metric", "ct",
-                       "--k", "4", "--seed", "7", "--out", str(tmp_path / "c.csv"))
-    assert code == 1
-    assert "tau" in err
+    # ct, tcc and compare share one check of the metric flags, and its messages
+    out = tmp_path / "c.csv"
+    for command, metric, flag in (("compare", "ct", "--tau"), ("compare", "tcc", "--phi"),
+                                  ("ct", "ct", "--tau"), ("tcc", "tcc", "--phi")):
+        result = run(capsys, *_sweep_argv(command, metric, small_tvg_path, out))
+        assert result == (1, "", f"error: {metric} needs {flag}\n"), command
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -362,11 +372,10 @@ def test_compare_requires_metric_parameter(small_tvg_path, tmp_path, capsys):
 def test_compare_refuses_the_other_metrics_parameter(small_tvg_path, tmp_path, capsys,
                                                       metric, given, foreign):
     out = tmp_path / "c.csv"
-    code, _, err = run(capsys, "compare", str(small_tvg_path), "--metric", metric, *given,
-                       *foreign, "--k", "4", "--seed", "7", "--out", str(out))
-    assert code == 1
-    assert foreign[0] in err
-    assert not out.exists()
+    for command in ("compare", metric):
+        result = run(capsys, *_sweep_argv(command, metric, small_tvg_path, out), *given, *foreign)
+        assert result == (1, "", f"error: {foreign[0]} does not apply to {metric}\n"), command
+        assert not out.exists()
 
 
 def test_churn_reports_fraction(small_tvg_path, capsys):

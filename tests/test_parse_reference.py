@@ -156,7 +156,12 @@ TIMESTAMP = st.one_of(
 )
 # a header's first field: skipped only on line 1, whatever the field count
 HEADER_FIELD = st.sampled_from(["timestamp", " Timestamp "])
-LABEL = st.sampled_from(["a", "b", "c", " a", "b ", "", " ", "a\x0cb", "c\u2028", "\u2028", "\u00e9"])
+LABELS = ["a", "b", "c", " a", "b ", "", " ", "a\x0cb", "c\u2028", "\u2028", "\u00e9"]
+LABEL = st.sampled_from(LABELS)
+# the labels of a contact line that parses: not empty, and different, once stripped
+LABEL_PAIR = st.sampled_from(
+    [f"{a},{b}" for a in LABELS for b in LABELS if "" != a.strip() != b.strip() != ""]
+)
 CONTACT_LINE = st.tuples(TIMESTAMP, LABEL, LABEL).map(",".join)
 LOG_LINE = st.one_of(
     CONTACT_LINE,
@@ -172,13 +177,19 @@ BOUND = st.one_of(st.none(), st.integers(-40, 400), INT64_EDGES)
 
 @st.composite
 def contact_logs(draw):
-    lines = draw(st.lists(LOG_LINE, max_size=12))
-    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
-    if draw(st.booleans()):
-        text = text.rstrip("\r\n")
     start, end = draw(BOUND), draw(BOUND)
     if start is not None and end is not None and end < start:
         start, end = end, start
+    # two lines in three are contacts inside [start, end], the discretizer's accepting path
+    lo = start if start is not None else min(-40, 400 if end is None else end)
+    inside = st.integers(lo, max(lo, 400) if end is None else end)
+    lines = [
+        f"{draw(PAD)}{draw(inside)}{draw(PAD)},{draw(LABEL_PAIR)}" if kind else draw(LOG_LINE)
+        for kind in draw(st.lists(st.integers(0, 2), max_size=12))
+    ]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
     return text, IngestConfig(draw(st.integers(1, 90)), start, end)
 
 
@@ -216,13 +227,23 @@ SEP = st.sampled_from([" ", "\t", "  ", " \t", "\x0c", "\x0b"])
 EDGE = st.sampled_from(["", " ", "\t"])
 
 
+def joined(draw, parts):
+    """The fields of one tvg v1 line, separated and edged by drawn whitespace."""
+    return draw(EDGE) + "".join((draw(SEP) if i else "") + p for i, p in enumerate(parts))
+
+
 @st.composite
 def tvg_line(draw, fields):
-    parts = draw(st.lists(FIELD, min_size=fields, max_size=fields))
-    line = draw(EDGE)
-    for i, part in enumerate(parts):
-        line += (draw(SEP) if i else "") + part
-    return line + draw(EDGE)
+    return joined(draw, draw(st.lists(FIELD, min_size=fields, max_size=fields))) + draw(EDGE)
+
+
+# a row's field written plainly, with a +, with leading zeros, or, for 0, as -0
+SPELLING = st.sampled_from(["", "+", "00", "-"])
+
+
+def spelled(draw, value):
+    prefix = draw(SPELLING)
+    return (prefix if prefix != "-" or value == 0 else "") + str(value)
 
 
 TVG_LINE = st.one_of(
@@ -233,8 +254,17 @@ TVG_LINE = st.one_of(
 
 @st.composite
 def tvg_texts(draw, line=TVG_LINE):
-    header = f"tvg v1 {draw(st.integers(0, 5))} {draw(st.integers(1, 6))}\n"
-    lines = draw(st.lists(line, max_size=10))
+    num_nodes, num_instants = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    header = f"tvg v1 {num_nodes} {num_instants}\n"
+    lines = []
+    # two lines in three are rows valid for the header, the parsers' accepting path
+    for kind in draw(st.lists(st.integers(0, 2), max_size=10)):
+        if num_nodes >= 2 and kind:
+            a = draw(st.integers(0, num_nodes - 2))
+            row = (draw(st.integers(0, num_instants - 1)), a, draw(st.integers(a + 1, num_nodes - 1)))
+            lines.append(joined(draw, [spelled(draw, value) for value in row]) + draw(EDGE))
+        else:
+            lines.append(draw(line))
     text = header + "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
     return text.rstrip("\r\n") if draw(st.booleans()) else text
 
@@ -262,8 +292,7 @@ ANY_FIELD = st.one_of(
 
 @st.composite
 def any_line(draw):
-    parts = draw(st.lists(ANY_FIELD, min_size=1, max_size=4))
-    return draw(EDGE) + "".join((draw(SEP) if i else "") + p for i, p in enumerate(parts))
+    return joined(draw, draw(st.lists(ANY_FIELD, min_size=1, max_size=4)))
 
 
 @settings(max_examples=200, deadline=None)
