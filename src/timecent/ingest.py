@@ -157,7 +157,9 @@ def discretize_with_stats(
     pairs = np.fromiter(map(ids.__getitem__, labels), np.int64, 2 * kept).reshape(-1, 2)
     del labels  # before the rows are allocated
     pairs.sort(axis=1)
-    rows = np.empty((len(pairs), 3), dtype=np.int64)
+    # int32: times are below 2^23 (check_instants), and an id past int32 wraps here but
+    # never reaches a TVG, since the constructor's check_nodes(len(ids)) refuses it first
+    rows = np.empty((len(pairs), 3), dtype=np.int32)
     rows[:, 0] = (timestamps[accepted] - start) // granularity
     rows[:, 1:] = pairs
     del pairs

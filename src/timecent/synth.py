@@ -3,8 +3,10 @@
 RNG contract (part of the output format contract): snapshot i of a spec
 seeded with s is drawn from numpy's PCG64 bit generator seeded with
 SeedSequence((s, i)). The C(n, 2) node pairs are sampled in lexicographic
-order (a < b, ascending) with one uniform draw per pair, taken as a single
-vectorized block. The derivation is deterministic and platform
+order (a < b, ascending) with one uniform draw per pair. The uniforms are
+drawn from that one stream in blocks, and each double is one 64-bit output
+of it, so the blocks give the same values, in the same order, as a single
+call for all pairs would. The derivation is deterministic and platform
 independent, and snapshots do not share RNG state, so they may be
 generated in any order or in parallel with identical results.
 
@@ -29,8 +31,11 @@ REFERENCE_NUM_INSTANTS = 800
 REFERENCE_EDGE_PROBABILITY = 0.01 * math.log(160) / 160
 
 # Largest expected contact count, p * C(n, 2) * N, of a spec. Generating
-# peaks at about 80 B per contact, so a spec at the cap stays near 320 MiB.
+# peaks at about 24 B per contact, so a spec at the cap stays near 100 MiB.
 MAX_EXPECTED_CONTACTS = 1 << 22
+
+# uniforms a snapshot draws at a time, and contacts turned into rows at a time
+_DRAWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class ErTvgSpec:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
         if self.num_nodes > MAX_SWEEP_NODES:
-            # no sweep accepts more, and one snapshot's draws stay within 256 MiB
+            # no sweep accepts more
             raise ValueError(
                 f"num_nodes {self.num_nodes} exceeds the sweep limit of {MAX_SWEEP_NODES} nodes"
             )
@@ -83,25 +88,25 @@ def _pair_ends(n: int, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ends_a, hits - start[ends_a] + ends_a + 1
 
 
-def _snapshot_hits(spec: ErTvgSpec, index: int) -> np.ndarray:
-    """Pair indices of the contacts of snapshot `index`."""
-    n = spec.num_nodes
-    if n < 2 or spec.edge_probability == 0:
-        return np.zeros(0, dtype=np.intp)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, index))))
-    draws = rng.random(n * (n - 1) // 2)
-    return np.nonzero(draws < spec.edge_probability)[0]
-
-
 def generate_er_tvg(spec: ErTvgSpec) -> TVG:
     """Generate the randomized TVG described by `spec`."""
     n = spec.num_nodes
-    pairs = max(n * (n - 1) // 2, 1)
+    pairs = n * (n - 1) // 2
     keys = bytearray()  # int64 i * pairs + pair index (below 2^48) per contact of snapshot i
     if n >= 2 and spec.edge_probability > 0:  # otherwise no snapshot has a contact
         for i in range(spec.num_instants):
-            keys += (_snapshot_hits(spec, i).astype(np.int64) + i * pairs).tobytes()
-    times, hits = np.divmod(np.frombuffer(keys, dtype=np.int64), pairs)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, i))))
+            for lo in range(0, pairs, _DRAWS):
+                draws = rng.random(min(_DRAWS, pairs - lo))
+                hits = (draws < spec.edge_probability).nonzero()[0].astype(np.int64, copy=False)
+                hits += i * pairs + lo
+                keys += hits.tobytes()
+    keys = np.frombuffer(keys, dtype=np.int64)
+    rows = np.empty((len(keys), 3), dtype=np.int32)  # in order, so they become the TVG's edges
+    for lo in range(0, len(keys), _DRAWS):
+        block = rows[lo : lo + _DRAWS]
+        times, hits = np.divmod(keys[lo : lo + _DRAWS], pairs)
+        block[:, 0] = times
+        block[:, 1], block[:, 2] = _pair_ends(n, hits)
     del keys
-    ends_a, ends_b = _pair_ends(n, hits)
-    return TVG(n, spec.num_instants, np.column_stack((times, ends_a, ends_b)))
+    return TVG(n, spec.num_instants, rows)

@@ -97,12 +97,13 @@ def _sorted_unique(rows: np.ndarray, num_nodes: int, num_instants: int) -> np.nd
     n = num_nodes
     if num_instants * n * n > 1 << 63:
         return np.unique(rows, axis=0).astype(np.int32)
-    key = rows[:, 0] * n
+    key = rows[:, 0].astype(np.int64)  # int32 rows would overflow; in place, one temporary
+    key *= n
     key += rows[:, 1]
     key *= n
     key += rows[:, 2]
     if (key[1:] > key[:-1]).all():  # in order, without repeats, as a saved file is
-        return rows.astype(np.int32)
+        return np.ascontiguousarray(rows, dtype=np.int32)  # C-ordered int32 rows as they are
     key.sort()
     key = key[np.r_[True, key[1:] != key[:-1]]]  # drop repeats (key is not empty here)
     edges = np.empty((len(key), 3), dtype=np.int32)
@@ -163,10 +164,13 @@ class TVG:
         rows: Iterable[tuple[TimeIndex, NodeId, NodeId]] | np.ndarray,
     ):
         """`rows` holds (time, a, b) contacts with a < b, in any order;
-        duplicates collapse to one."""
+        duplicates collapse to one. A C-ordered int32 array of rows already
+        in order, without repeats, becomes `edges` itself and is made
+        read-only; any other `rows` is copied."""
         check_nodes(num_nodes)
         check_instants(num_instants)
-        rows = _integers(rows)
+        if getattr(rows, "dtype", None) != np.int32:  # int32 rows are read without an int64 copy
+            rows = _integers(rows)
         if rows.size == 0:
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
@@ -251,7 +255,7 @@ def churn_rate(tvg: TVG) -> Fraction:
 
 
 # rows format_tvg renders at a time, so that few of their Python ints are alive at once
-_FORMAT_ROWS = 1 << 14
+_FORMAT_ROWS = 1 << 12
 
 
 def format_tvg(tvg: TVG) -> str:

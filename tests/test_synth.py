@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from timecent import ErTvgSpec, format_tvg, generate_er_tvg, reference_spec
+from timecent import TVG, ErTvgSpec, format_tvg, generate_er_tvg, reference_spec, synth
 from timecent.synth import MAX_EXPECTED_CONTACTS
+from timecent.tvg import MAX_SWEEP_NODES
 from conftest import child_env
 
 
@@ -86,9 +87,27 @@ def test_different_seeds_differ():
     assert a != b
 
 
+CONTRACT_SPECS = (
+    ErTvgSpec(25, 40, 0.08, 9),
+    ErTvgSpec(12, 30, 0.3, 3),
+    ErTvgSpec(25, 40, 0.0, 9),
+    ErTvgSpec(200, 3, 0.01, 7),  # 19,900 pairs: more than one draw block per snapshot
+)
+
+
 def test_snapshots_are_independent_substreams():
     """Each snapshot is drawn from its own seeded substream, as the contract states."""
-    for spec in (ErTvgSpec(25, 40, 0.08, 9), ErTvgSpec(12, 30, 0.3, 3), ErTvgSpec(25, 40, 0.0, 9)):
+    assert 200 * 199 // 2 > synth._DRAWS
+    for spec in CONTRACT_SPECS:
+        assert generate_er_tvg(spec).edges.tolist() == contract_edges(spec), spec
+
+
+@pytest.mark.parametrize("block", [1, 7, 300])
+def test_draw_blocks_keep_the_rng_contract(monkeypatch, block):
+    # a snapshot's uniforms and its rows come `block` at a time; 300 is C(25, 2), so
+    # those blocks divide a 25-node snapshot exactly
+    monkeypatch.setattr(synth, "_DRAWS", block)
+    for spec in CONTRACT_SPECS:
         assert generate_er_tvg(spec).edges.tolist() == contract_edges(spec), spec
 
 
@@ -115,29 +134,44 @@ def test_pair_indices_map_to_lexicographic_pairs():
         assert generate_er_tvg(spec).edges.tolist() == contract_edges(spec), n
 
 
-def test_generate_holds_no_pair_table():
-    # one snapshot of 4096 nodes draws C(4096, 2) doubles, 64 MiB; the pairs
-    # hit are mapped to their endpoints without a table of all C(n, 2) pairs
+def _traced_peak(spec: ErTvgSpec) -> tuple[TVG, int]:
+    """generate_er_tvg(spec) and its peak traced allocation in bytes."""
     generate_er_tvg(ErTvgSpec(8, 1, 0.5, 1))  # numpy's first-use allocations stay out of the count
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        tvg = generate_er_tvg(ErTvgSpec(4096, 1, 1e-7, 1))
+        tvg = generate_er_tvg(spec)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert after - before <= tvg.edges.nbytes + tvg.offsets.nbytes + 2**16
+    return tvg, peak - before
+
+
+def test_generate_holds_no_pair_table():
+    # one snapshot of 4096 nodes has C(4096, 2) pairs, 64 MiB of doubles in one call (72 MiB
+    # peak); drawn 2^14 at a time, and the pairs hit mapped to their endpoints without a table
+    # of all C(n, 2) pairs, it peaked at 0.25 MiB
+    tvg, peak = _traced_peak(ErTvgSpec(4096, 1, 1e-7, 1))
     assert tvg.num_nodes == 4096
-    assert peak - before < 96 * 2**20
-    assert after - before < 2**20
+    assert peak < 2**20
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
-def test_generating_a_million_empty_snapshots_stays_small():
-    # importing numpy alone peaks near 28 MiB; nothing is drawn or kept per snapshot.
-    # The child reads its own VmHWM: its ru_maxrss would start from this process's.
+def test_generate_memory_per_contact():
+    # 119,554 contacts: 27 B a contact measured, the int64 keys and the int32 rows they
+    # fill a block at a time; one pass over every contact at once took 80 B
+    tvg, peak = _traced_peak(ErTvgSpec(400, 300, 0.005, 1))
+    assert tvg.num_contacts() > 100_000
+    assert peak < 32 * tvg.num_contacts()
+
+
+def _generate_in_child(*spec) -> tuple[int, int]:
+    """The contact count and peak RSS (KiB) of generate_er_tvg(ErTvgSpec(*spec)) in a
+    child process. The child reads its own VmHWM: its ru_maxrss would start from this
+    process's."""
     code = (
         "from timecent import ErTvgSpec, generate_er_tvg\n"
-        "tvg = generate_er_tvg(ErTvgSpec(2, 1_000_000, 0.0, 1))\n"
+        f"tvg = generate_er_tvg(ErTvgSpec{spec!r})\n"
         "status = open('/proc/self/status').read().split('VmHWM:')[1].split()\n"
         "print(tvg.num_contacts(), status[0])\n"
     )
@@ -145,5 +179,20 @@ def test_generating_a_million_empty_snapshots_stays_small():
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     contacts, peak_kib = map(int, child.stdout.split())
+    return contacts, peak_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_generating_a_million_empty_snapshots_stays_small():
+    # importing numpy alone peaks near 28 MiB; nothing is drawn or kept per snapshot
+    contacts, peak_kib = _generate_in_child(2, 1_000_000, 0.0, 1)
     assert contacts == 0
+    assert peak_kib <= 64 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+def test_a_snapshot_at_the_node_cap_stays_small():
+    # C(8192, 2) pairs: 256 MiB of doubles in one call, 325 MB peak; drawn 2^14 at a time
+    contacts, peak_kib = _generate_in_child(MAX_SWEEP_NODES, 1, 0.01, 1)
+    assert contacts > 300_000
     assert peak_kib <= 64 * 1024
