@@ -344,16 +344,18 @@ def compare_topk_random(table: MetricTable, k: int, seed: int) -> ComparisonRepo
     """Contrast the k most central instants with k random other instants.
 
     The baseline is drawn uniformly without replacement from the table's
-    instants excluding the top-k set, using a seeded generator, so the
-    report is reproducible. Requires at least 2k instants.
+    instants excluding the top-k set: the picks numpy's
+    default_rng(seed).choice(len(candidates), size=k, replace=False) makes,
+    computed without numpy.random (timecent.pcg.sample), so the report is
+    reproducible. Requires at least 2k instants.
     """
+    from .pcg import sample  # here, so that ct and tcc runs do not load it
+
     check_top_k(k, len(table.values))
     top = rank_instants(table, k)
     top_set = {t_i for t_i, _ in top}
     candidates = [t_i for t_i in table.times() if t_i not in top_set]
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(candidates), size=k, replace=False)
-    chosen = sorted(candidates[int(i)] for i in picks)
+    chosen = sorted(candidates[i] for i in sample(seed, len(candidates), k))
     baseline = [(t_i, table.values[t_i]) for t_i in chosen]
     return ComparisonReport(
         table.metric, k, seed, group_stats(top), group_stats(baseline)

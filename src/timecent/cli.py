@@ -261,7 +261,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise _UsageError("k must be at least 1")
-    if args.seed < 0:  # numpy's generator would refuse it only after the sweep
+    if args.seed < 0:  # the baseline draw (pcg.sample) would refuse it only after the sweep
         raise _UsageError("seed must be non-negative")
     table = _sweep(args, {"k": args.k, "seed": args.seed})
     report = compare_topk_random(table, args.k, args.seed)
@@ -282,13 +282,13 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 # each command's handler and the modules it uses
 _COMMANDS = {
-    "generate": (_cmd_generate, ("synth", "tvg", "tvgtext")),
+    "generate": (_cmd_generate, ("pcg", "synth", "tvg", "tvgtext")),
     "ingest": (_cmd_ingest, ("ingest", "tvg", "tvgtext")),
     "ct": (_cmd_sweep, ("centrality", "tables", "tvg", "tvgtext")),
     "tcc": (_cmd_sweep, ("centrality", "tables", "tvg", "tvgtext")),
     "dist": (_cmd_dist, ("tables",)),
     "rank": (_cmd_rank, ("tables",)),
-    "compare": (_cmd_compare, ("centrality", "tables", "tvg", "tvgtext")),
+    "compare": (_cmd_compare, ("centrality", "pcg", "tables", "tvg", "tvgtext")),
     "churn": (_cmd_churn, ("tables", "tvgtext")),
 }
 

@@ -8,7 +8,9 @@ drawn from that one stream in blocks, and each double is one 64-bit output
 of it, so the blocks give the same values, in the same order, as a single
 call for all pairs would. The derivation is deterministic and platform
 independent, and snapshots do not share RNG state, so they may be
-generated in any order or in parallel with identical results.
+generated in any order or in parallel with identical results. Here the
+SeedSequence words of many snapshots are hashed at once (timecent.pcg), and
+each snapshot's PCG64 state is set on one reused generator.
 
 The reference parameterization used throughout the test suite is 160
 nodes, 800 instants and edge probability 0.01 * ln(160) / 160, about
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pcg import int_words, pcg64_seed, seed_words
 from .tvg import MAX_SWEEP_NODES, TVG, check_instants
 
 REFERENCE_NUM_NODES = 160
@@ -34,7 +37,8 @@ REFERENCE_EDGE_PROBABILITY = 0.01 * math.log(160) / 160
 # peaks at about 24 B per contact, so a spec at the cap stays near 100 MiB.
 MAX_EXPECTED_CONTACTS = 1 << 22
 
-# uniforms a snapshot draws at a time, and contacts turned into rows at a time
+# uniforms a snapshot draws at a time, contacts turned into rows at a time,
+# and snapshots whose seeds are hashed at once
 _DRAWS = 1 << 14
 
 
@@ -94,8 +98,14 @@ def generate_er_tvg(spec: ErTvgSpec) -> TVG:
     pairs = n * (n - 1) // 2
     keys = bytearray()  # int64 i * pairs + pair index (below 2^48) per contact of snapshot i
     if n >= 2 and spec.edge_probability > 0:  # otherwise no snapshot has a contact
+        rng = np.random.Generator(np.random.PCG64(0))  # its state is set for every snapshot
         for i in range(spec.num_instants):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, i))))
+            if i % _DRAWS == 0:  # the 8 words SeedSequence((seed, i)) gives, per instant of a block
+                block = np.arange(i, min(i + _DRAWS, spec.num_instants), dtype=np.uint32)
+                words = np.array(seed_words([*int_words(spec.seed), block]))
+            state, inc = pcg64_seed(words[:, i % _DRAWS].tolist())
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
             for lo in range(0, pairs, _DRAWS):
                 draws = rng.random(min(_DRAWS, pairs - lo))
                 hits = (draws < spec.edge_probability).nonzero()[0].astype(np.int64, copy=False)

@@ -503,7 +503,8 @@ def test_package_import_loads_no_numpy():
 
 
 # timecent.cli.main in a child process that then prints the timecent modules it
-# loaded, and on a last line which of dataclasses, inspect and numpy it loaded
+# loaded, and on a last line which of dataclasses, inspect, numpy and
+# numpy.random it loaded
 MODULES_MAIN = """
 import sys
 from timecent.cli import main
@@ -512,7 +513,7 @@ try:
 except SystemExit as exc:  # argparse exits after --version
     code = exc.code
 print(*sorted(name for name in sys.modules if name.split(".")[0] == "timecent"))
-print(*(name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules))
+print(*(name for name in ("dataclasses", "inspect", "numpy", "numpy.random") if name in sys.modules))
 sys.exit(code)
 """
 
@@ -539,9 +540,19 @@ COMMAND_ARGS = {
 }
 
 
+@pytest.fixture(scope="module")
+def numpy_imports_random() -> bool:
+    """Whether `import numpy` alone loads numpy.random, as numpy 1.x does."""
+    check = "import sys, numpy; print('numpy.random' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", check], env=child_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout.split() == ["True"]
+
+
 # --version names no module: it loads timecent and timecent.cli only
 @pytest.mark.parametrize("case", [*cli._COMMANDS, "--version", "churn-large"])
-def test_each_command_imports_exactly_the_modules_it_names(case, tmp_path):
+def test_each_command_imports_exactly_the_modules_it_names(case, tmp_path, numpy_imports_random):
     small = "tvg v1 4 6\n0 0 1\n1 1 2\n2 2 3\n4 0 3\n"
     (tmp_path / "log.csv").write_text("0,a,b\n45,b,c\n")
     (tmp_path / "small.tvg").write_text(small)
@@ -559,6 +570,9 @@ def test_each_command_imports_exactly_the_modules_it_names(case, tmp_path):
         named.add("timecent.tvg")
     assert set(modules.split()) == {"timecent", "timecent.cli"} | named
     assert ("numpy" in stdlib.split()) == ("timecent.tvg" in named)
+    # only generate draws with numpy's generator; compare's baseline is timecent.pcg's
+    loads_random = command == "generate" or numpy_imports_random and "numpy" in stdlib.split()
+    assert ("numpy.random" in stdlib.split()) == loads_random
     assert command not in NO_DATACLASSES or "dataclasses" not in stdlib.split()
     assert command not in NO_INSPECT or "inspect" not in stdlib.split()
 

@@ -104,8 +104,9 @@ def test_snapshots_are_independent_substreams():
 
 @pytest.mark.parametrize("block", [1, 7, 300])
 def test_draw_blocks_keep_the_rng_contract(monkeypatch, block):
-    # a snapshot's uniforms and its rows come `block` at a time; 300 is C(25, 2), so
-    # those blocks divide a 25-node snapshot exactly
+    # a snapshot's uniforms and its rows come `block` at a time, and the seeds of
+    # `block` snapshots are hashed at once; 300 is C(25, 2), so those blocks divide
+    # a 25-node snapshot exactly
     monkeypatch.setattr(synth, "_DRAWS", block)
     for spec in CONTRACT_SPECS:
         assert generate_er_tvg(spec).edges.tolist() == contract_edges(spec), spec
