@@ -74,7 +74,6 @@ class CoverageThreshold(NamedTuple):
     (tau=0.1 with 160 nodes is exactly 16).
     """
 
-    tau: Fraction
     required_count: int
 
     @classmethod
@@ -82,8 +81,7 @@ class CoverageThreshold(NamedTuple):
         frac = check_tau(tau)
         if num_nodes < 1:
             raise ValueError("threshold needs at least one node")
-        required = -((-frac.numerator * num_nodes) // frac.denominator)
-        return cls(frac, required)
+        return cls(-((-frac.numerator * num_nodes) // frac.denominator))
 
 
 # Instants whose arcs are laid out at once, and the most contacts they may
@@ -94,7 +92,7 @@ _ARCS = 1 << 16
 
 def earliest_arrivals(
     tvg: TVG, first: int, last: int, top: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (t, E, rows) for t = last - 1 down to first, from one backward pass.
 
     Needs 0 <= first < last <= top + 1 <= num_instants.
@@ -117,12 +115,12 @@ def earliest_arrivals(
     iteration. It holds n^2 entries, so the pass refuses n > MAX_SWEEP_NODES
     before it starts.
 
-    rows is None at the first yield, where every row is new, and after that
-    snapshot t's distinct contact nodes (empty for an empty snapshot). A
-    row not in rows equals its row at the previous yield, except that its
-    diagonal is now t - 1 instead of t. Its off-diagonal entries are
-    >= t + 1, so the diagonal stays the row's unique minimum and, for
-    k >= 2, the row's k-th smallest entry does not change.
+    rows names every row at the first yield, where every row is new, and
+    after that snapshot t's distinct contact nodes (empty for an empty
+    snapshot). A row not in rows equals its row at the previous yield,
+    except that its diagonal is now t - 1 instead of t. Its off-diagonal
+    entries are >= t + 1, so the diagonal stays the row's unique minimum
+    and, for k >= 2, the row's k-th smallest entry does not change.
     """
     n = tvg.num_nodes
     if n > MAX_SWEEP_NODES:
@@ -178,33 +176,28 @@ def earliest_arrivals(
                 del rows, part  # not held through the caller's reduction
             diagonal[:] = t - 1
             if t < last:
-                yield t, arrival, None if t == last - 1 else nodes
+                yield t, arrival, np.arange(n) if t == last - 1 else nodes
         hi = lo - 1
 
 
-def spread_milestones(
-    tvg: TVG, time: int, *, max_steps: int | None = None, stop_count: int | None = None
-) -> list[list[int]]:
+def spread_milestones(tvg: TVG, time: int, *, stop_count: int | None = None) -> list[list[int]]:
     """Milestones of all |V| diffusions starting at one instant.
 
     Returns per start node u a milestone list m where m[k] is the first
     step at which the diffusion from (u, time) had informed k+1 nodes
-    (m[0] == 0 always). Lists run until the snapshots run out or max_steps
-    is spent; with stop_count, only to the first step by which every start
-    has informed stop_count nodes, if there is one. They are the sorted
-    rows of one single-instant earliest_arrivals pass (arrival a is step
-    a - time + 1) over the whole budget.
+    (m[0] == 0 always). Lists run until the snapshots run out; with
+    stop_count, only to the first step by which every start has informed
+    stop_count nodes, if there is one. They are the sorted rows of one
+    single-instant earliest_arrivals pass (arrival a is step a - time + 1)
+    through the last snapshot.
     """
     if not 0 <= time < tvg.num_instants:
         raise ValueError(f"time {time} out of range [0,{tvg.num_instants})")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
-    budget = min(tvg.num_instants - time, tvg.num_instants if max_steps is None else max_steps)
+    budget = tvg.num_instants - time
     need = None if stop_count is None else max(stop_count, 1)
     if need is not None and need > tvg.num_nodes:
         need = None  # never met
-    # step s reads snapshot time - 1 + s; a zero budget still reads one
-    _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, time - 1 + max(budget, 1)))
+    _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, tvg.num_instants - 1))
     steps = np.sort(arrival, axis=1).astype(np.int64) - (time - 1)
     cut = budget if need is None else min(budget, int(steps[:, need - 1].max()))
     counts = np.count_nonzero(steps <= cut, axis=1)
@@ -267,14 +260,15 @@ def metric_sweep(
     One backward pass of earliest_arrivals serves every instant;
     each instant's arrival matrix is reduced to its value at once. ct takes
     per start the required_count-th earliest arrival, by a row-wise
-    partition that after the first instant covers only the rows the
-    instant's snapshot rewrote (no other row's value moves). Its pass is
-    its own probe: the first reads from top = last - 1. While a start at
-    the first yield (instant last - 1) has not met the threshold by top,
-    the pass is dropped there and run again with top = last - 2 + 4, 16,
-    64, ..., or the last snapshot once that is reached. A diffusion from
-    (u, t), t < last - 1, still holds u at last - 1, so it meets the
-    threshold no later than the one from (u, last - 1). tcc counts the
+    partition of the rows the pass names: every row at the first instant,
+    then the rows the instant's snapshot rewrote (no other row's value
+    moves). Its pass is its own probe: the first reads from top = last - 1.
+    While a start at the first yield (instant last - 1) has not met the
+    threshold by top, the pass is dropped there and run again with
+    top = last - 2 + 4, 16, 64, ..., or the last snapshot once that is
+    reached. A diffusion from (u, t), t < last - 1, still holds u at
+    last - 1, so it meets the threshold no later than the one from
+    (u, last - 1). tcc counts the
     arrivals within phi steps and reads no snapshot past the last
     instant's budget. Instant t reuses the count of instant t + 1 when
     snapshot t is empty (only the diagonal moved) and no arrival leaves the
@@ -294,16 +288,12 @@ def metric_sweep(
     unreached: dict[int, int] = {}
     if metric.kind == "ct":
         need = CoverageThreshold.of(metric.tau, n).required_count
+        cover = np.empty(n, dtype=np.int64)  # per start, its need-th arrival
         span, limit = 1, tvg.num_instants - 1
         while True:
             top = min(last - 2 + span, limit)
             for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
-                if rows is None:
-                    # a copy: a view would keep the partitioned n x n copy alive through the next snapshot
-                    cover = np.partition(arrival, need - 1, axis=1)[:, need - 1].copy()
-                    if top < limit and cover.max() > top:
-                        break  # a start is short of need: restart with a larger top
-                elif need == 1:
+                if need == 1:
                     cover.fill(t_i - 1)  # the diagonal: every start covers itself at step 0
                 elif len(rows):
                     # only the rewritten rows' need-th arrivals can have moved
@@ -311,6 +301,8 @@ def metric_sweep(
                     block.partition(need - 1, axis=1)
                     cover[rows] = block[:, need - 1]
                     del block  # not held through the next snapshot
+                if t_i == last - 1 and top < limit and cover.max() > top:
+                    break  # a start is short of need: restart with a larger top
                 unreached[t_i] = int(np.count_nonzero(cover > top))
                 total = int(cover.sum(dtype=np.int64)) - n * (t_i - 1)
                 values[t_i] = INF if unreached[t_i] else Fraction(total, n)
@@ -324,7 +316,7 @@ def metric_sweep(
         for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
             within = min(t_i - 1 + phi, top)  # no arrival exceeds top
             # only an arrival at within + 1 leaves the budget, and it needs a contact there
-            if rows is None or len(rows) or within < top and tvg.offsets[within + 1] < tvg.offsets[within + 2]:
+            if len(rows) or within < top and tvg.offsets[within + 1] < tvg.offsets[within + 2]:
                 value = Fraction(int(np.count_nonzero(arrival <= within)), n * n)
             values[t_i] = value
             unreached[t_i] = 0

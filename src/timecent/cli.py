@@ -52,9 +52,14 @@ def _parse_range(text: str, num_instants: int) -> tuple[int, int]:
     return first, last
 
 
-def _print_header(args: argparse.Namespace, config: dict[str, object]) -> None:
+def _print_header(args: argparse.Namespace, config: dict[str, object] | None = None) -> None:
+    """Print the run's header. Its config line holds `config`, the
+    configuration a command resolved, or else every parsed argument but
+    the command, in the order the parser declares them."""
     print(f"# timecent {__version__}")
     print(f"# command: {args.command}")
+    if config is None:
+        config = {k: v for k, v in vars(args).items() if k != "command"}
     parts = " ".join(f"{k}={v}" for k, v in config.items())
     print(f"# config: {parts}")
 
@@ -160,16 +165,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         cfg = IngestConfig(args.granularity, args.start, args.end)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    _print_header(
-        args,
-        {
-            "input": args.input,
-            "granularity": args.granularity,
-            "start": args.start,
-            "end": args.end,
-            "out": args.out,
-        },
-    )
+    _print_header(args)
     with open(args.input, "r", encoding="utf-8-sig") as fh:  # spreadsheets write a BOM
         tvg, stats = discretize_with_stats(parse_contacts(fh), cfg)
     save_tvg(tvg, args.out)
@@ -233,7 +229,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    _print_header(args, {"table": args.table, "kind": args.kind, "out": args.out})
+    _print_header(args)
     with open(args.table, "r", encoding="utf-8") as fh:
         table = read_table_csv(fh)
     dist = empirical_distribution(table, args.kind)
@@ -247,9 +243,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise _UsageError("k must be at least 1")
-    _print_header(
-        args, {"table": args.table, "metric": args.metric, "k": args.k, "out": args.out}
-    )
+    _print_header(args)
     with open(args.table, "r", encoding="utf-8") as fh:
         table = read_table_csv(fh)
     ranked = rank_instants(table, args.k, higher_is_better=(args.metric == "tcc"))
@@ -272,7 +266,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
-    _print_header(args, {"input": args.input})
+    _print_header(args)
     rate = small_file_churn_rate(args.input)
     if rate is None:  # a large file, or one with an error to name: numpy reads it
         rate = __getattr__("churn_rate")(__getattr__("load_tvg")(args.input))

@@ -89,7 +89,6 @@ def _order_key(values: Iterable[MetricValue]) -> Callable[[MetricValue], MetricV
 class Distribution(NamedTuple):
     """Empirical CDF or CCDF points over the finite values of a table."""
 
-    kind: Literal["cdf", "ccdf"]
     points: tuple[tuple[MetricValue, Fraction], ...]
     excluded_infinite: int
 
@@ -115,7 +114,7 @@ def empirical_distribution(
         points = [(v, Fraction(bisect_right(finite, v), total)) for v in distinct]
     else:
         points = [(v, Fraction(total - bisect_left(finite, v), total)) for v in distinct]
-    return Distribution(kind, tuple(points), excluded)
+    return Distribution(tuple(points), excluded)
 
 
 def median(values: Sequence[MetricValue]) -> MetricValue:

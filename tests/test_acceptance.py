@@ -233,6 +233,39 @@ def test_ct_two_nodes_mean_matches_its_geometric_expectation():
     assert ok, f"pooled ct tau=2/n mean is {z:+.2f} sd from {1 / q:.4f}"
 
 
+def test_tcc_means_match_the_er_chain():
+    """The pooled means of tcc phi=25 and phi=100 over instants 0-659 of
+    seeds 1-5 lie within 4 sd of the ER chain's E[K_s]/n (er_chain.py; the
+    memoryless case of Clementi et al., PODC 2008). Every budget from these
+    instants ends inside the 800 snapshots, so no flood is cut short.
+    Floods from nearby instants share snapshots, so the sd is measured:
+    over seeds 1-20 a seed's mean over instants had sd 0.00059 (phi=25)
+    and 0.0226 (phi=100), and the pooled mean of 5 seeds sd / sqrt(5).
+    Seeds 1-5 gave 0.02111 against 0.0211 (z = +0.07) and 0.38787 against
+    0.3894 (z = -0.15). The chain at 1.1 p gives 0.0237 and 0.485, at
+    0.9 p 0.0188 and 0.299, all about 9 sd off, so a generator whose
+    effective p is 10 % off fails."""
+    n = REFERENCE_NUM_NODES
+    p = REFERENCE_EDGE_PROBABILITY
+    failures = []
+    for phi, seed_sd in ((25, 0.00059), (100, 0.0226)):
+        values = [
+            value
+            for seed in STAT_SEEDS
+            for value in _reference_table(seed, MetricSpec.tcc(phi)).values.values()
+        ]
+        assert len(values) == len(STAT_SEEDS) * (EVAL_RANGE[1] - EVAL_RANGE[0])
+        expected = expected_informed_fraction(n, p, phi)
+        sd = seed_sd / math.sqrt(len(STAT_SEEDS))
+        z = (float(sum(values) / len(values)) - expected) / sd
+        ok = abs(z) <= 4
+        detail = f"expected {expected:.5f}, sd {sd:.3g}, z {z:+.2f}"
+        _report(f"model check (tcc phi={phi} mean)", ok, detail)
+        if not ok:
+            failures.append(f"pooled tcc phi={phi} mean is {z:+.2f} sd from {expected:.5f}")
+    assert not failures, "; ".join(failures)
+
+
 def test_criterion_4_topk_superiority():
     """Top-10 beats the random baseline on at least 18 of 20 seeds per metric."""
     ct_fail = 0

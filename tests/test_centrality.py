@@ -733,7 +733,7 @@ def test_pass_reports_the_rows_each_snapshot_rewrote(monkeypatch):
             previous = None
             for t, arrival, rows in earliest_arrivals(tvg, first, last, top):
                 if previous is None:
-                    assert rows is None
+                    assert rows.tolist() == list(range(tvg.num_nodes))
                 else:
                     contact = {u for pair in tvg.snapshots[t].contact_list for u in pair}
                     assert sorted(rows.tolist()) == sorted(contact), (tvg, t)

@@ -384,6 +384,37 @@ def test_churn_reports_fraction(small_tvg_path, capsys):
     assert "churn_rate" in stdout
 
 
+def test_every_command_prints_its_configuration_header(tmp_path, capsys, monkeypatch):
+    # generate and the sweeps print what they resolved; the other commands print
+    # every parsed argument, in the order the parser declares them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "contacts.csv").write_text("0,ann,bea\n45,bea,cal\n400,ann,cal\n")
+    cases = [
+        ("generate --nodes 10 --instants 20 --prob 0.3 --seed 7 --out g.tvg",
+         "nodes=10 instants=20 prob=0.3 seed=7 out=g.tvg"),
+        ("generate --reference-defaults --seed 1 --out r.tvg",
+         "nodes=160 instants=800 prob=0.00031719836345211414 seed=1 out=r.tvg"),
+        ("ingest contacts.csv --granularity 10 --start 0 --out i.tvg",
+         "input=contacts.csv granularity=10 start=0 end=None out=i.tvg"),
+        ("ct g.tvg --tau 0.5 --range 0:10 --out ct.csv",
+         "input=g.tvg metric=ct tau=1/2 range=0:10 workers=0 out=ct.csv"),
+        ("tcc g.tvg --phi 3 --workers 2 --out tcc.csv",
+         "input=g.tvg metric=tcc phi=3 range=0:17 workers=2 out=tcc.csv"),
+        ("compare g.tvg --metric tcc --phi 2 --k 2 --seed 3 --out cmp.csv",
+         "input=g.tvg metric=tcc phi=2 k=2 seed=3 range=0:17 workers=0 out=cmp.csv"),
+        ("dist ct.csv --kind ccdf --out d.csv", "table=ct.csv kind=ccdf out=d.csv"),
+        ("rank tcc.csv --metric tcc --k 3 --out rk.csv", "table=tcc.csv metric=tcc k=3 out=rk.csv"),
+        ("churn g.tvg", "input=g.tvg"),
+    ]
+    for argv, config in cases:
+        code, stdout, _ = run(capsys, *argv.split())
+        assert code == 0, argv
+        command = argv.split()[0]
+        assert stdout.splitlines()[:3] == [
+            f"# timecent {timecent.__version__}", f"# command: {command}", f"# config: {config}"
+        ], argv
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

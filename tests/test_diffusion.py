@@ -16,6 +16,7 @@ from timecent import (
     cover_time,
     expand,
     metric_sweep,
+    oracle_reach,
     reach_profile,
     spread_milestones,
     tcc,
@@ -77,7 +78,7 @@ def test_trace_threshold_stops_early():
 
 
 def test_trace_step_budget_stops(chain4):
-    assert spread_milestones(chain4, 0, max_steps=1)[0] == [0, 1]
+    assert [s for s in spread_milestones(chain4, 0)[0] if s <= 1] == [0, 1]
     assert sweep_values(chain4, MetricSpec.tcc(1))[0] == Fraction(3, 8)
 
 
@@ -89,8 +90,6 @@ def test_trace_invalid_start(chain4):
             cover_time(chain4, time, "0.5")
         with pytest.raises(ValueError):
             tcc(chain4, time, 1)
-    with pytest.raises(ValueError):
-        spread_milestones(chain4, 0, max_steps=-1)
 
 
 def test_threshold_exact_arithmetic():
@@ -129,7 +128,7 @@ def test_threshold_of_one_is_met_at_step_zero(chain4):
 
 def test_coverage_micro(chain4):
     # within one step from t0: starts 0 and 1 inform two nodes, 2 and 3 one
-    assert [len(m) for m in spread_milestones(chain4, 0, max_steps=1)] == [2, 2, 1, 1]
+    assert [sum(s <= 1 for s in m) for m in spread_milestones(chain4, 0)] == [2, 2, 1, 1]
 
 
 def test_coverage_budget_never_binds(chain4):
@@ -176,10 +175,8 @@ def test_sizes_monotone_and_bounded(tvg, data):
 @given(tvg_strategy(), st.data())
 def test_coverage_monotone_in_budget(tvg, data):
     time = data.draw(st.integers(min_value=0, max_value=tvg.num_instants - 1))
-    counts = [
-        [len(m) for m in spread_milestones(tvg, time, max_steps=phi)]
-        for phi in range(1, tvg.num_instants + 2)
-    ]
+    full = spread_milestones(tvg, time)
+    counts = [[sum(s <= phi for s in m) for m in full] for phi in range(1, tvg.num_instants + 2)]
     for prev, cur in zip(counts, counts[1:]):
         assert all(p <= c for p, c in zip(prev, cur))
 
@@ -189,17 +186,18 @@ def test_coverage_monotone_in_budget(tvg, data):
 def test_cover_step_consistent_with_coverage(tvg, data):
     time = data.draw(st.integers(min_value=0, max_value=tvg.num_instants - 1))
     n = tvg.num_nodes
+    g = expand(tvg)
     for required in range(2, n + 1):
         thr = CoverageThreshold.of(Fraction(required, n), n)
         assert thr.required_count == required
         for u, m in enumerate(spread_milestones(tvg, time, stop_count=required)):
             if len(m) < required:
                 continue
+            # the cover step is the oracle's: met after it, short of it one step earlier
             steps = m[required - 1]
             assert steps >= 1
-            assert len(spread_milestones(tvg, time, max_steps=steps)[u]) >= required
-            if steps >= 2:
-                assert len(spread_milestones(tvg, time, max_steps=steps - 1)[u]) < required
+            assert len(oracle_reach(g, TemporalNode(u, time), steps)) >= required
+            assert len(oracle_reach(g, TemporalNode(u, time), steps - 1)) < required
 
 
 def test_milestones_match_per_start_diffusions():
@@ -264,18 +262,6 @@ def test_stop_count_widens_the_pass_until_every_start_is_there(monkeypatch):
             short += 1
     assert grown >= 10
     assert short >= 10
-
-
-def test_milestones_max_steps_truncates_consistently():
-    rng = random.Random(78)
-    for _ in range(60):
-        tvg = random_tvg(rng, max_nodes=8, max_instants=9)
-        time = rng.randrange(tvg.num_instants)
-        budget = rng.randint(1, tvg.num_instants)
-        full = spread_milestones(tvg, time)
-        capped = spread_milestones(tvg, time, max_steps=budget)
-        for u in range(tvg.num_nodes):
-            assert capped[u] == [s for s in full[u] if s <= budget]
 
 
 def test_milestones_trivial_threshold():

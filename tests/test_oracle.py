@@ -115,5 +115,5 @@ def test_arrivals_match_oracle_reach():
         expected = oracle_reach(g, TemporalNode(node, time), budget)
         _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, tvg.num_instants - 1))
         assert set(np.flatnonzero(arrival[node] <= time - 1 + budget).tolist()) == expected
-        milestones = spread_milestones(tvg, time, max_steps=budget)
-        assert len(milestones[node]) == len(expected)
+        milestones = spread_milestones(tvg, time)
+        assert sum(s <= budget for s in milestones[node]) == len(expected)
