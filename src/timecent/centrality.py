@@ -120,7 +120,8 @@ def earliest_arrivals(
     snapshot). A row not in rows equals its row at the previous yield,
     except that its diagonal is now t - 1 instead of t. Its off-diagonal
     entries are >= t + 1, so the diagonal stays the row's unique minimum
-    and, for k >= 2, the row's k-th smallest entry does not change.
+    and, for k >= 2, the row's k-th smallest entry does not change. rows
+    holds np.intp indices, numpy's index type.
     """
     n = tvg.num_nodes
     if n > MAX_SWEEP_NODES:
@@ -129,7 +130,7 @@ def earliest_arrivals(
     arrival = np.full((n, n), np.iinfo(dtype).max, dtype=dtype)
     diagonal = arrival.reshape(-1)[:: n + 1]
     diagonal[:] = top  # before step t it holds E_{t+1}[w, w] = t
-    no_rows = np.empty(0, dtype=tvg.edges.dtype)  # what an empty snapshot rewrites
+    no_rows = np.empty(0, dtype=np.intp)  # what an empty snapshot rewrites
     hi = top
     while hi >= first:
         # chunks above the first yield stop at it, so a caller that stops there lays out no more
@@ -157,12 +158,17 @@ def earliest_arrivals(
         # over run 0 lists the snapshot's contact nodes.
         np.divmod(key, n, out=(key, node))  # key is now time - lo
         key = (key * n + k) * n + n - np.repeat(degree, degree)
+        del bounds, degree, k  # each layout array is dropped once dead, to keep the peak low
         order = np.argsort(key, kind="stable")
         node, nbr, key = node[order], nbr[order], key[order] // n
         head[1:-1] = key[1:] != key[:-1]
         runs = np.flatnonzero(head)  # run r is arcs runs[r] to runs[r + 1]
         run_at = np.searchsorted(key[runs[:-1]] // n, np.arange(hi - lo + 2)).tolist()
         runs = runs.tolist()
+        del key, head, order
+        # numpy's index type, which take and fancy assignment use without a cast;
+        # int32 through the sorts keeps the layout's peak lower
+        node, nbr = node.astype(np.intp), nbr.astype(np.intp)
         for t in range(hi, lo - 1, -1):
             start, end = run_at[t - lo], run_at[t - lo + 1]  # snapshot t's runs
             nodes = no_rows
@@ -174,7 +180,7 @@ def earliest_arrivals(
                     np.minimum(part, arrival.take(nbr[runs[r] : runs[r + 1]], axis=0), out=part)
                 arrival[nodes] = rows
                 del rows, part  # not held through the caller's reduction
-            diagonal[:] = t - 1
+            diagonal.fill(t - 1)
             if t < last:
                 yield t, arrival, np.arange(n) if t == last - 1 else nodes
         hi = lo - 1
@@ -273,6 +279,8 @@ def metric_sweep(
     instant's budget. Instant t reuses the count of instant t + 1 when
     snapshot t is empty (only the diagonal moved) and no arrival leaves the
     budget: it ends at top, as t + 1's did, or snapshot within + 1 is empty.
+    The pass keeps one int count per instant; one Fraction is made per
+    distinct count after it.
     """
     n = tvg.num_nodes
     if n == 0:
@@ -284,9 +292,9 @@ def metric_sweep(
         raise ValueError(
             f"evaluation range [{first},{last}) invalid for {tvg.num_instants} instants"
         )
-    values: dict[int, MetricValue] = {}
-    unreached: dict[int, int] = {}
     if metric.kind == "ct":
+        values: dict[int, MetricValue] = {}
+        unreached: dict[int, int] = {}
         need = CoverageThreshold.of(metric.tau, n).required_count
         cover = np.empty(n, dtype=np.int64)  # per start, its need-th arrival
         span, limit = 1, tvg.num_instants - 1
@@ -310,18 +318,22 @@ def metric_sweep(
                 break
             del arrival  # freed before the next round allocates its own
             span *= 4
-    else:
-        phi = metric.phi
-        top = min(tvg.num_instants - 1, last - 2 + phi)
-        for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
-            within = min(t_i - 1 + phi, top)  # no arrival exceeds top
-            # only an arrival at within + 1 leaves the budget, and it needs a contact there
-            if len(rows) or within < top and tvg.offsets[within + 1] < tvg.offsets[within + 2]:
-                value = Fraction(int(np.count_nonzero(arrival <= within)), n * n)
-            values[t_i] = value
-            unreached[t_i] = 0
-    # the pass runs backward; keep the tables in ascending instant order
-    return MetricTable(metric, dict(reversed(values.items())), dict(reversed(unreached.items())))
+        # the pass runs backward; keep the table in ascending instant order
+        return MetricTable(metric, dict(reversed(values.items())),
+                           dict(reversed(unreached.items())))
+    phi = metric.phi
+    top = min(tvg.num_instants - 1, last - 2 + phi)
+    counts = []  # per instant, in pass order (last - 1 down to first)
+    for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
+        within = min(t_i - 1 + phi, top)  # no arrival exceeds top
+        # only an arrival at within + 1 leaves the budget, and it needs a contact there
+        if len(rows) or within < top and tvg.offsets[within + 1] < tvg.offsets[within + 2]:
+            count = int(np.count_nonzero(arrival <= within))
+        counts.append(count)
+    share = {count: Fraction(count, n * n) for count in set(counts)}  # one per distinct count
+    times = range(first, last)
+    return MetricTable(metric, dict(zip(times, map(share.__getitem__, reversed(counts)))),
+                       dict.fromkeys(times, 0))
 
 
 def check_top_k(k: int, instants: int) -> None:

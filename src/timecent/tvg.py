@@ -51,8 +51,8 @@ TimeIndex = int
 # metric) accepts: its state is one n x n matrix, int16 up to 32,767
 # instants (128 MiB at this size) and int32 beyond (256 MiB). A short pass
 # peaked at 3.0-3.3x either matrix (tracemalloc, 2048 and 4096 nodes, 3
-# contacts per node per snapshot) and a long one ~4 MiB more: 390-425 or
-# 775-810 MiB. No snapshot is split: one of over 2^16 contacts costs ~100 B each.
+# contacts per node per snapshot) and a long one ~2 MiB more: 390-425 or
+# 775-810 MiB. No snapshot is split: one of over 2^16 contacts costs ~82 B each.
 MAX_SWEEP_NODES = 8192
 
 

@@ -101,6 +101,31 @@ def test_tcc_bounds_random():
         assert Fraction(1, tvg.num_nodes) <= value <= 1
 
 
+def test_values_are_exact_fractions_and_inf_is_math_inf():
+    # a float count / n**2 equals the exact value wherever that is dyadic, and
+    # writes the same CSV text there: only the type tells the two apart
+    rng = random.Random(4242)  # the corpus of the sweep-against-oracle test below
+    kinds = {"fraction": 0, "inf": 0}
+    for _ in range(80):
+        tvg = random_tvg(rng)
+        n, big_n = tvg.num_nodes, tvg.num_instants
+        t_i = rng.randrange(big_n)
+        values = [cover_time(tvg, t_i, Fraction(r, n)) for r in range(1, n + 1)]
+        values += [tcc(tvg, t_i, phi) for phi in range(1, big_n + 2)]
+        for r in range(1, n + 1):
+            values += metric_sweep(tvg, MetricSpec.ct(Fraction(r, n)), (0, big_n)).values.values()
+        for phi in range(1, big_n + 2):
+            values += metric_sweep(tvg, MetricSpec.tcc(phi), (0, big_n)).values.values()
+        for value in values:
+            if type(value) is Fraction:
+                kinds["fraction"] += 1
+            else:
+                assert type(value) is float and value == math.inf, (tvg, value)
+                kinds["inf"] += 1
+    assert INF is math.inf
+    assert min(kinds.values()) > 1000, kinds
+
+
 def test_metric_sweep_ct_micro(chain4):
     table = metric_sweep(chain4, MetricSpec.ct("0.5"), (0, 3))
     assert table.values == {0: Fraction(7, 4), 1: INF, 2: INF}
@@ -290,7 +315,8 @@ def test_ct_sweep_holds_no_partitioned_copy_into_the_next_snapshot():
 def test_long_dense_sweep_lays_out_a_bounded_number_of_contacts():
     # 256 nodes, three perfect matchings per instant, 191k contacts in 500
     # instants, swept over 480. Laying out 1024 snapshots at once peaked at
-    # 19.2 MiB; chunks of at most _ARCS = 2^16 contacts (about 100 B each) at 7.5.
+    # 19.2 MiB; chunks of at most _ARCS = 2^16 contacts at 7.5, and at 6.9-7.0
+    # (about 110 B per contact) once each layout array was dropped when dead.
     rng = np.random.default_rng(3)
     n, big_n = 256, 500
     pairs = np.sort([rng.permutation(n).reshape(-1, 2) for _ in range(3 * big_n)], axis=2)
@@ -732,6 +758,7 @@ def test_pass_reports_the_rows_each_snapshot_rewrote(monkeypatch):
             top = rng.randint(last - 1, big_n - 1)
             previous = None
             for t, arrival, rows in earliest_arrivals(tvg, first, last, top):
+                assert rows.dtype == np.intp  # the index type take and fancy assignment want
                 if previous is None:
                     assert rows.tolist() == list(range(tvg.num_nodes))
                 else:
