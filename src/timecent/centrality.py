@@ -157,7 +157,10 @@ def earliest_arrivals(
         # The nodes with a k-th neighbour are a prefix of run 0, and node
         # over run 0 lists the snapshot's contact nodes.
         np.divmod(key, n, out=(key, node))  # key is now time - lo
-        key = (key * n + k) * n + n - np.repeat(degree, degree)
+        key *= n  # in place: ((time - lo) * n + k) * n + n - degree
+        key += k
+        key *= n
+        key += n - np.repeat(degree, degree)
         del bounds, degree, k  # each layout array is dropped once dead, to keep the peak low
         order = np.argsort(key, kind="stable")
         node, nbr, key = node[order], nbr[order], key[order] // n
@@ -181,8 +184,11 @@ def earliest_arrivals(
                 arrival[nodes] = rows
                 del rows, part  # not held through the caller's reduction
             diagonal.fill(t - 1)
+            if t == lo:  # a view would hold this chunk's node column through the next layout
+                nodes = nodes.copy()
             if t < last:
                 yield t, arrival, np.arange(n) if t == last - 1 else nodes
+        del node, nbr, nodes
         hi = lo - 1
 
 

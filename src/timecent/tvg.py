@@ -18,9 +18,10 @@ in any order; `contacts()` yields them back as `Contact` tuples.
 
 Its text form, "tvg v1", is described in timecent.tvgtext, which holds
 the parts that need no numpy. format_tvg writes it byte-deterministically
-for a given TVG. parse_tvg reads the body with numpy's loadtxt, which
-reads exactly that grammar; when loadtxt fails, tvgtext.read_rows reads
-the body again line by line and names the first bad line.
+for a given TVG. parse_tvg reads any iterable of lines with
+tvgtext.read_rows, which names the first bad line. load_tvg reads a
+file's body with numpy's loadtxt, which reads exactly that grammar; when
+it fails or a row is out of range, parse_tvg reads the file again.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -51,7 +52,7 @@ TimeIndex = int
 # metric) accepts: its state is one n x n matrix, int16 up to 32,767
 # instants (128 MiB at this size) and int32 beyond (256 MiB). A short pass
 # peaked at 3.0-3.3x either matrix (tracemalloc, 2048 and 4096 nodes, 3
-# contacts per node per snapshot) and a long one ~2 MiB more: 390-425 or
+# contacts per node per snapshot) and a long one ~1 MiB more: 390-425 or
 # 775-810 MiB. No snapshot is split: one of over 2^16 contacts costs ~82 B each.
 MAX_SWEEP_NODES = 8192
 
@@ -274,45 +275,28 @@ def save_tvg(tvg: TVG, path: str) -> None:
 
 
 def parse_tvg(lines: Iterable[str]) -> TVG:
-    """Parse the tvg v1 text form; raises TvgFormatError on bad input.
-
-    numpy's loadtxt reads the body after the header. If it fails, or a row
-    is out of range, tvgtext.read_rows reads the body again and names the
-    first bad line.
-    """
-    try:  # where read_rows reads a stream again from
-        start = lines.tell() if lines.seekable() else None
-    except (AttributeError, OSError):
-        start = None
+    """Parse the tvg v1 text form from any iterable of lines, in one pass
+    of tvgtext.read_rows; raises TvgFormatError naming the first bad line."""
     it = iter(lines)
-    try:
-        header = next(it)
-    except StopIteration:
-        raise TvgFormatError("empty input, missing header") from None
-    num_nodes, num_instants = read_header(header)
-    if start is None and it is lines:
-        lines = [header, *it]  # a one-shot iterator: keep its lines for read_rows
-        it = iter(lines)
-        next(it)
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads "1.5" as an integer with a DeprecationWarning,
-            # and an empty body warns; both go to read_rows
-            warnings.simplefilter("error")
-            rows = np.loadtxt(it, dtype=np.int64, ndmin=2, comments=None)
-    except (ValueError, OverflowError, Warning):
-        pass
-    else:
-        try:
-            return TVG(num_nodes, num_instants, rows)
-        except ValueError:  # a row of the wrong shape or out of range: read_rows names its line
-            pass
-    if start is not None:
-        lines.seek(start)
-    rows = chain.from_iterable(read_rows(islice(lines, 1, None), num_nodes, num_instants))
+    num_nodes, num_instants = read_header(next(it, ""))
+    rows = chain.from_iterable(read_rows(it, num_nodes, num_instants))
     return TVG(num_nodes, num_instants, np.fromiter(rows, np.int64).reshape(-1, 3))
 
 
 def load_tvg(path: str) -> TVG:
+    """Read a tvg v1 file: numpy's loadtxt reads a seekable file's body. If it
+    fails, or a row is out of range, parse_tvg reads the file again from its
+    start and names the first bad line; parse_tvg alone reads a pipe."""
     with open(path, "r", encoding="utf-8") as fh:
+        if fh.seekable():
+            num_nodes, num_instants = read_header(next(fh, ""))
+            try:
+                with warnings.catch_warnings():
+                    # numpy < 2 reads "1.5" as an integer with a DeprecationWarning,
+                    # and an empty body warns; both go to parse_tvg
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+                return TVG(num_nodes, num_instants, rows)
+            except (ValueError, OverflowError, Warning):  # a bad line, or a row out of range
+                fh.seek(0)
         return parse_tvg(fh)

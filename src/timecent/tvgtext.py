@@ -15,7 +15,8 @@ fields separated by whitespace: any run of the characters str.split()
 splits on, other than a line end (format_tvg writes one space). Each
 field, and each header count, is an ASCII integer, [+-]?[0-9]+, of any
 length. read_rows reads this grammar and names the first bad line, for
-timecent.tvg.parse_tvg and for small_file_churn_rate.
+timecent.tvg.parse_tvg (any lines, a pipe too) and small_file_churn_rate;
+load_tvg reads a seekable file with loadtxt and falls back to parse_tvg.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ def check_instants(num_instants: int) -> None:
 
 
 def read_header(header: str) -> tuple[int, int]:
-    """(num_nodes, num_instants) of a header line; TvgFormatError if it is not one."""
+    """(num_nodes, num_instants) of a header line, or TvgFormatError; "" is the end of input."""
+    if not header:
+        raise TvgFormatError("empty input, missing header")
     fields = header.split()
     if len(fields) != 4 or fields[0] != "tvg" or fields[1] != "v1":
         raise TvgFormatError(f"bad header: {header.strip()!r}")

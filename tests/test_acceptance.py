@@ -116,13 +116,14 @@ def test_criterion_3_randomized_tvg_statistics():
 
     The model is the exact informed-count chain of er_chain.py at the
     generator's n = 160 and p = REFERENCE_EDGE_PROBABILITY. The
-    ct tau=0.6, tcc phi=25 and tcc phi=100 bands are fixed targets; the
-    test also asserts that each holds the chain's E[T_96] = 121.6,
-    E[K_25]/n = 0.0211 and E[K_100]/n = 0.389, so a band that contradicts
-    the model fails where it is written. The ct tau=0.1 band is centred on
-    the chain's E[T_16] = 68.97 steps (observed: 68.77). A fixed [35, 65]
-    target is unattainable here: it needs about 1.4 p, which puts
-    tcc phi=100 at 0.74, and relaying within a snapshot still gives ~67.
+    tcc phi=25 and tcc phi=100 bands are fixed targets; the test also
+    asserts that each holds the chain's E[K_25]/n = 0.0211 and
+    E[K_100]/n = 0.389, so a band that contradicts the model fails where
+    it is written. The ct bands are centred on the chain's E[T_16] = 68.97
+    steps (observed: 68.77) and E[T_96] = 121.59 (observed: 121.28). A
+    fixed [35, 65] target for tau=0.1 is unattainable here: it needs about
+    1.4 p, which puts tcc phi=100 at 0.74, and relaying within a snapshot
+    still gives ~67.
     """
     n = REFERENCE_NUM_NODES
     p = REFERENCE_EDGE_PROBABILITY
@@ -136,9 +137,14 @@ def test_criterion_3_randomized_tvg_statistics():
     # over instants sits ~0.25 below the chain mean (the per-instant ct is
     # right-skewed). The band excludes E[T_16] at 1.1 p (62.85) and at
     # 0.9 p (76.45), so a generator whose effective p is 10 % off still fails.
+    # Per-seed medians of ct tau=0.6 have sd 2.52 (seeds 1-20), so the 5-seed
+    # mean has sd 1.13 and +-5 % (~6.1 steps) is ~5.4 sd. The band excludes
+    # E[T_96] at 1.1 p (110.76) and at 0.9 p (134.81); the fixed [80, 135]
+    # it replaces held the latter.
+    ct_06_model = hitting_time("0.6")
     specs = {
         "ct tau=0.1": (MetricSpec.ct("0.1"), ct_01_model, 0.95 * ct_01_model, 1.05 * ct_01_model),
-        "ct tau=0.6": (MetricSpec.ct("0.6"), hitting_time("0.6"), 80, 135),
+        "ct tau=0.6": (MetricSpec.ct("0.6"), ct_06_model, 0.95 * ct_06_model, 1.05 * ct_06_model),
         "tcc phi=25": (
             MetricSpec.tcc(25),
             expected_informed_fraction(n, p, 25),

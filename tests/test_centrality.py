@@ -315,8 +315,11 @@ def test_ct_sweep_holds_no_partitioned_copy_into_the_next_snapshot():
 def test_long_dense_sweep_lays_out_a_bounded_number_of_contacts():
     # 256 nodes, three perfect matchings per instant, 191k contacts in 500
     # instants, swept over 480. Laying out 1024 snapshots at once peaked at
-    # 19.2 MiB; chunks of at most _ARCS = 2^16 contacts at 7.5, and at 6.9-7.0
-    # (about 110 B per contact) once each layout array was dropped when dead.
+    # 19.2 MiB; chunks of at most _ARCS = 2^16 contacts at 7.5, at 6.9-7.0
+    # (about 110 B per contact) once each layout array was dropped when dead,
+    # and at 5.9-6.0 once the second key was built in place and no chunk's
+    # node column was held through the next layout (8.0 and 26.0 MiB at 1024
+    # and 2048 nodes, from 9.0 and 27.0).
     rng = np.random.default_rng(3)
     n, big_n = 256, 500
     pairs = np.sort([rng.permutation(n).reshape(-1, 2) for _ in range(3 * big_n)], axis=2)

@@ -2,10 +2,10 @@
 
 The references below are the record-at-a-time contact-log parser and
 discretizer that parse_contacts and the column discretizer replaced, and
-the line loop of the tvg v1 parser that its column reader (numpy's
-loadtxt) replaced, kept verbatim apart from returning tuples in place of
-record objects and building the TVG without labels. parse_contacts is a
-line pass too, appending to columns. Each parser must give the same TVG
+the line loop of the tvg v1 parser that the column reader of load_tvg
+(numpy's loadtxt) replaced, kept verbatim apart from returning tuples in
+place of record objects and building the TVG without labels.
+parse_contacts is a line pass too, appending to columns. Each parser must give the same TVG
 and counters, node labels included (IngestStats.labels), or the same
 exception with the same first-bad-line message.
 """
@@ -29,6 +29,7 @@ from timecent import (
     TvgFormatError,
     churn_rate,
     discretize_with_stats,
+    load_tvg,
     parse_contacts,
     parse_tvg,
 )
@@ -313,16 +314,16 @@ def long_field_line(draw):
 @given(tvg_texts(st.one_of(any_line(), long_field_line(), TVG_LINE)))
 @example("tvg v1 4 3\n+0 0 1\n1 00 1\n1 -0 3\n2 1 2\n")  # signed fields, which texts drawn rarely accept
 def test_loadtxt_and_the_scan_read_one_grammar(text):
-    """Whatever loadtxt accepts, the scan accepts with the same rows; what it
-    rejects, the scan rejects with the first bad line. churn counts an ASCII
-    file of at least 2 instants without numpy exactly when parse_tvg accepts
-    it, and finds churn_rate's value."""
-    assert outcome(parse_tvg, io.StringIO(text)) == scan_outcome(text)
-    if text.isascii() and int(text.split()[3]) >= 2:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "t.tvg")
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
+    """Whatever load_tvg's loadtxt accepts, the scan accepts with the same
+    rows; what it rejects, the scan rejects with the first bad line, as
+    parse_tvg does. churn counts an ASCII file of at least 2 instants without
+    numpy exactly when the scan accepts it, and finds churn_rate's value."""
+    expected = scan_outcome(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tvg")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert outcome(load_tvg, path) == expected == outcome(parse_tvg, io.StringIO(text))
+        if text.isascii() and int(text.split()[3]) >= 2:
             counted = small_file_churn_rate(path)
-        tvg = outcome(parse_tvg, io.StringIO(text))
-        assert counted == (None if isinstance(tvg, tuple) else churn_rate(tvg))
+            assert counted == (None if isinstance(expected, tuple) else churn_rate(expected))
