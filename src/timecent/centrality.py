@@ -248,8 +248,7 @@ def default_eval_range(num_instants: int) -> tuple[int, int]:
 
     Leaves the tail of the sequence as room for diffusions to spread.
     """
-    last = -((-825 * num_instants) // 1000)
-    return (0, min(num_instants, last))
+    return (0, -((-825 * num_instants) // 1000))
 
 
 def cover_time(tvg: TVG, t_i: int, tau: Fraction | str) -> MetricValue:
@@ -280,13 +279,13 @@ def metric_sweep(
     top = last - 2 + 4, 16, 64, ..., or the last snapshot once that is
     reached. A diffusion from (u, t), t < last - 1, still holds u at
     last - 1, so it meets the threshold no later than the one from
-    (u, last - 1). tcc counts the
-    arrivals within phi steps and reads no snapshot past the last
-    instant's budget. Instant t reuses the count of instant t + 1 when
-    snapshot t is empty (only the diagonal moved) and no arrival leaves the
-    budget: it ends at top, as t + 1's did, or snapshot within + 1 is empty.
-    The pass keeps one int count per instant; one Fraction is made per
-    distinct count after it.
+    (u, last - 1). tcc counts the arrivals within phi steps and reads no
+    snapshot past the last instant's budget. Instant t reuses the count of
+    instant t + 1 when snapshot t is empty (only the diagonal moved) and no
+    arrival leaves the budget: it ends at top, as t + 1's did, or snapshot
+    within + 1 is empty. Both metrics keep one int per instant (ct's is None
+    while a start is short of the threshold) and make one Fraction per
+    distinct int after the pass.
     """
     n = tvg.num_nodes
     if n == 0:
@@ -298,13 +297,12 @@ def metric_sweep(
         raise ValueError(
             f"evaluation range [{first},{last}) invalid for {tvg.num_instants} instants"
         )
+    ints, unreached = [], []  # per instant, in pass order (last - 1 down to first)
     if metric.kind == "ct":
-        values: dict[int, MetricValue] = {}
-        unreached: dict[int, int] = {}
         need = CoverageThreshold.of(metric.tau, n).required_count
         cover = np.empty(n, dtype=np.int64)  # per start, its need-th arrival
         span, limit = 1, tvg.num_instants - 1
-        while True:
+        while not ints:  # a dropped pass appends nothing; a whole one reaches first
             top = min(last - 2 + span, limit)
             for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
                 if need == 1:
@@ -315,31 +313,28 @@ def metric_sweep(
                     block.partition(need - 1, axis=1)
                     cover[rows] = block[:, need - 1]
                     del block  # not held through the next snapshot
-                if t_i == last - 1 and top < limit and cover.max() > top:
+                missing = int(np.count_nonzero(cover > top))
+                if missing and t_i == last - 1 and top < limit:
                     break  # a start is short of need: restart with a larger top
-                unreached[t_i] = int(np.count_nonzero(cover > top))
-                total = int(cover.sum(dtype=np.int64)) - n * (t_i - 1)
-                values[t_i] = INF if unreached[t_i] else Fraction(total, n)
-            else:
-                break
+                ints.append(None if missing else int(cover.sum()) - n * (t_i - 1))
+                unreached.append(missing)
             del arrival  # freed before the next round allocates its own
             span *= 4
-        # the pass runs backward; keep the table in ascending instant order
-        return MetricTable(metric, dict(reversed(values.items())),
-                           dict(reversed(unreached.items())))
-    phi = metric.phi
-    top = min(tvg.num_instants - 1, last - 2 + phi)
-    counts = []  # per instant, in pass order (last - 1 down to first)
-    for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
-        within = min(t_i - 1 + phi, top)  # no arrival exceeds top
-        # only an arrival at within + 1 leaves the budget, and it needs a contact there
-        if len(rows) or within < top and tvg.offsets[within + 1] < tvg.offsets[within + 2]:
-            count = int(np.count_nonzero(arrival <= within))
-        counts.append(count)
-    share = {count: Fraction(count, n * n) for count in set(counts)}  # one per distinct count
-    times = range(first, last)
-    return MetricTable(metric, dict(zip(times, map(share.__getitem__, reversed(counts)))),
-                       dict.fromkeys(times, 0))
+    else:
+        phi = metric.phi
+        top = min(tvg.num_instants - 1, last - 2 + phi)
+        for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
+            within = min(t_i - 1 + phi, top)  # no arrival exceeds top
+            # only an arrival at within + 1 leaves the budget, and it needs a contact there
+            if len(rows) or within < top and tvg.offsets[within + 1] < tvg.offsets[within + 2]:
+                count = int(np.count_nonzero(arrival <= within))
+            ints.append(count)
+            unreached.append(0)
+    denom = n if metric.kind == "ct" else n * n  # ct: steps over n starts; tcc: pairs of n * n
+    share = {i: INF if i is None else Fraction(i, denom) for i in set(ints)}  # one per distinct int
+    times = range(first, last)  # the pass runs backward; the table is in ascending order
+    return MetricTable(metric, dict(zip(times, map(share.__getitem__, reversed(ints)))),
+                       dict(zip(times, reversed(unreached))))
 
 
 def check_top_k(k: int, instants: int) -> None:

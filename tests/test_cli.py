@@ -384,6 +384,19 @@ def test_churn_reports_fraction(small_tvg_path, capsys):
     assert "churn_rate" in stdout
 
 
+@pytest.mark.parametrize("more_rows", [0, 70_000])
+def test_churn_of_an_undecodable_file_is_a_data_error(tmp_path, capsys, more_rows):
+    # the byte sits in the first 8 KiB: tvgtext's small-file count stops there, and
+    # so do load_tvg's loadtxt and its reread of a file over SMALL_TVG_BYTES
+    path = tmp_path / "bad.tvg"
+    path.write_bytes(b"tvg v1 4 3\n0 0 1\n\xff 1 2\n" + b"1 0 1\n" * more_rows)
+    assert (path.stat().st_size > SMALL_TVG_BYTES) == bool(more_rows)
+    code, _, err = run(capsys, "churn", str(path))
+    assert (code, err) == (
+        2, "data error: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte\n"
+    )
+
+
 def test_every_command_prints_its_configuration_header(tmp_path, capsys, monkeypatch):
     # generate and the sweeps print what they resolved; the other commands print
     # every parsed argument, in the order the parser declares them

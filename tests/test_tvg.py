@@ -287,6 +287,16 @@ def test_load_rereads_a_file_whose_last_row_is_out_of_range(tmp_path):
         load_tvg(str(path))
 
 
+def test_load_names_an_out_of_range_row_before_a_later_undecodable_byte(tmp_path):
+    # loadtxt takes line 2 without complaint and stops at the undecodable byte far
+    # past it (a UnicodeDecodeError); only the reread from the start names line 2
+    path = tmp_path / "t.tvg"
+    path.write_bytes(b"tvg v1 4 3\n7 0 1\n" + b"".join(b"%d 0 1\n" % (t % 3) for t in range(20_000))
+                     + b"\xff\n")
+    with pytest.raises(TvgFormatError, match=r"^line 2: time 7 out of range \[0,3\)$"):
+        load_tvg(str(path))
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
 def test_load_reads_a_valid_named_pipe_as_a_file(tmp_path):
     # 20,000 rows, more than a pipe buffers: the writer blocks until they are read
