@@ -156,9 +156,9 @@ class ComparisonReport(NamedTuple):
 
 
 def format_value(value: MetricValue) -> str:
-    if is_inf(value):
-        return "inf"
-    return repr(float(value))
+    if isinstance(value, Fraction):  # the float numbers.Rational.__float__ gives, without its calls
+        return repr(value.numerator / value.denominator)
+    return "inf" if is_inf(value) else repr(float(value))
 
 
 def write_table_csv(table: MetricTable, out: IO[str]) -> None:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timecent import (
@@ -609,6 +609,15 @@ def test_format_value():
     assert format_value(Fraction(1, 3)) == "0.3333333333333333"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**70), st.integers(1, 2**70), st.floats(min_value=0))
+@example(1006633145311236043253, 87876131233047068209, 0.0)  # float(p) / q is one ulp off here
+def test_format_value_writes_the_repr_of_float(p, q, x):
+    # the CSV bytes stay those of float(Fraction), whatever path format_value takes to it
+    assert format_value(Fraction(p, q)) == repr(float(Fraction(p, q)))
+    assert format_value(x) == repr(x)  # a value >= 0, INF too: repr(math.inf) is "inf"
+
+
 def test_table_csv_round_trip(chain4):
     table = metric_sweep(chain4, MetricSpec.ct("0.5"), (0, 3))
     buf = io.StringIO()
@@ -822,5 +831,59 @@ def test_tcc_reuses_counts_across_empty_snapshots_as_the_oracle_counts(monkeypat
     for chunk in (1, 2, 5, centrality._CHUNK):  # empty runs across chunk boundaries
         monkeypatch.setattr(centrality, "_CHUNK", chunk)
         for tvg, first, last in cases:
+            _assert_sweeps_match_oracle(tvg, first, last)
+        monkeypatch.undo()
+
+
+def _thin_tvg(rng, n, big_n, dense=()):
+    """TVG with 0-2 contacts in each snapshot, about half of them empty, and
+    n // 2 to n contacts in each snapshot of `dense`."""
+    rows = set()
+    for t in range(big_n):
+        most = rng.randint(n // 2, n) if t in dense else rng.choice((0, 0, 1, 2))
+        rows |= {(t, *sorted(rng.sample(range(n), 2))) for _ in range(most)}
+    return TVG(n, big_n, sorted(rows))
+
+
+def _windows(tvg, first, last, phis=range(1, 7)):
+    """Per budget phi and instant of [first, last), in that order: (contact
+    ends in t..within, nodes with a contact there)."""
+    out = []
+    for phi in phis:
+        top = min(tvg.num_instants - 1, last - 2 + phi)
+        for t in range(first, last):
+            block = tvg.edges[tvg.offsets[t] : tvg.offsets[min(t - 1 + phi, top) + 1]]
+            out.append((2 * len(block), len(set(block[:, 1:].ravel().tolist()))))
+    return out
+
+
+def test_tcc_counts_the_rows_that_can_reach_in_sparse_windows_as_the_oracle_counts(monkeypatch):
+    # in a window t..within of fewer contact ends than rows, a row whose node has no
+    # contact there counts its diagonal alone, and the count reads the other rows if
+    # they are at most half; every other window is counted whole
+    rng = random.Random(3131)
+    cases, mixed = [], []
+    for n in (16, 25, 40):  # at most 2 contacts a snapshot: every window of phi < n / 4 is sparse
+        tvg = _thin_tvg(rng, n, 14)
+        cases += [(tvg, 0, 14), (tvg, 2, 9)]
+    for _ in range(3):  # dense snapshots among thin ones: windows switch within a range
+        tvg = _thin_tvg(rng, 16, 14, dense=set(rng.sample(range(14), 3)))
+        mixed += [(tvg, 0, 14), (tvg, rng.randrange(5), rng.randint(6, 13))]
+    # snapshot 3 is a matching of 14 of 16 nodes: 14 contact ends, fewer than the rows,
+    # yet 14 active rows, more than half, so the count at instant 3 with phi 1 is whole
+    matching = TVG(16, 6, [(1, 0, 1), *((3, 2 * a, 2 * a + 1) for a in range(1, 8))])
+    assert _windows(matching, 3, 4, [1]) == [(14, 14)]
+    cases += [(matching, 0, 6), (matching, 1, 5)]
+    # node 0 meets someone at 3 and at 5, the top of a phi 3 sweep of [0, 4): its next
+    # contact from instant 2 on is 3, the earlier of two writes to one index
+    cases.append((TVG(16, 8, [(3, 0, 1), (5, 0, 2)]), 0, 4))
+    for tvg, first, last in cases + mixed:  # a window whose count reads the active rows alone
+        n = tvg.num_nodes
+        assert any(0 < 2 * active <= n for ends, active in _windows(tvg, first, last) if ends < n)
+    for tvg, first, last in mixed:  # and a window counted whole
+        assert any(ends >= tvg.num_nodes for ends, _ in _windows(tvg, first, last))
+    for chunk in (1, 2, 5, centrality._CHUNK):  # ranges ending at N (within clipped to top) and before
+        monkeypatch.setattr(centrality, "_CHUNK", chunk)
+        for tvg, first, last in cases + mixed:
             _assert_sweeps_match_oracle(tvg, first, last)
         monkeypatch.undo()
