@@ -108,9 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, default=10, help="top set size")
             p.add_argument("--seed", type=int, required=True, help="seed for the random baseline")
         p.add_argument("--range", dest="eval_range", help="FIRST:LAST, half open")
-        # a sweep is one single-threaded pass; the flag keeps old command lines
-        # running, and its value is echoed in the header as given
-        p.add_argument("--workers", type=int, default=0, help="no effect, kept for compatibility")
+        # parsed and never read: a sweep is one single-threaded pass, and old command lines still run
+        p.add_argument("--workers", help=argparse.SUPPRESS)
         p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("dist", help="empirical distribution of a metric table")
@@ -196,8 +195,6 @@ def _sweep(args: argparse.Namespace, config: dict[str, object]) -> MetricTable:
 
     `config` holds the command's own header fields, printed after the metric.
     """
-    if args.workers < 0:
-        raise _UsageError("workers must be non-negative")
     metric = _sweep_args_to_spec(args)
     tvg = load_tvg(args.input)
     eval_range = (
@@ -212,7 +209,6 @@ def _sweep(args: argparse.Namespace, config: dict[str, object]) -> MetricTable:
             "metric": metric.label(),
             **config,
             "range": f"{eval_range[0]}:{eval_range[1]}",
-            "workers": args.workers,
             "out": args.out,
         },
     )

@@ -440,8 +440,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
     for run in range(2):
         out = tmp_path / f"cmp_{run}.csv"
         code = cli_main(["compare", str(tvg_path), "--metric", "tcc", "--phi", "20",
-                         "--k", "8", "--seed", "5", "--range", "0:80",
-                         "--workers", "1", "--out", str(out)])
+                         "--k", "8", "--seed", "5", "--range", "0:80", "--out", str(out)])
         assert code == 0
         compare_bytes.append(out.read_bytes())
     compare_ok = compare_bytes[0] == compare_bytes[1]

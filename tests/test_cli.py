@@ -157,7 +157,7 @@ def test_ingest_window_past_the_data_is_a_data_error(tmp_path, capsys):
 def test_ct_sweep_row_count(small_tvg_path, tmp_path, capsys):
     out = tmp_path / "ct.csv"
     code, stdout, _ = run(capsys, "ct", str(small_tvg_path), "--tau", "0.2",
-                          "--range", "0:40", "--workers", "1", "--out", str(out))
+                          "--range", "0:40", "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "time_index,value,unreached_starts"
@@ -252,23 +252,37 @@ def test_contact_log_with_outlier_timestamp_is_a_data_error(tmp_path):
     assert not (tmp_path / "log.tvg").exists()
 
 
-def test_sweep_negative_workers_is_usage_error(small_tvg_path, tmp_path, capsys):
-    # checked before the input is read, so a missing file does not turn it into a data error
-    for command, flag, tvg in (("tcc", ("--phi", "3"), small_tvg_path),
-                               ("ct", ("--tau", "0.5"), tmp_path / "missing.tvg")):
-        code, _, err = run(capsys, command, str(tvg), *flag,
-                           "--workers", "-1", "--out", str(tmp_path / "t.csv"))
-        assert code == 1
-        assert "workers" in err
+SWEEPS = (("ct", ("--tau", "0.5")), ("tcc", ("--phi", "3")),
+          ("compare", ("--metric", "tcc", "--phi", "3", "--k", "2", "--seed", "7")))
 
 
-def test_sweep_header_echoes_workers_as_given(small_tvg_path, tmp_path, capsys):
-    out = str(tmp_path / "t.csv")
-    for flag, shown in (((), "workers=0 "), (("--workers", "3"), "workers=3 ")):
-        code, stdout, _ = run(capsys, "tcc", str(small_tvg_path), "--phi", "3", *flag,
-                              "--out", out)
+def test_sweep_ignores_workers_whatever_its_value(small_tvg_path, tmp_path, capsys):
+    # the flag is parsed so old command lines still run, and nothing reads it
+    out = tmp_path / "t.csv"
+    for command, flags in SWEEPS:
+        code, expected, _ = run(capsys, command, str(small_tvg_path), *flags, "--out", str(out))
         assert code == 0
-        assert shown in stdout
+        artifact = out.read_bytes()
+        for workers in ("-1", "0", "3"):
+            out.unlink()
+            got = run(capsys, command, str(small_tvg_path), *flags,
+                      "--workers", workers, "--out", str(out))
+            assert got == (0, expected, ""), (command, workers)
+            assert out.read_bytes() == artifact, (command, workers)
+
+
+def test_sweep_header_and_help_omit_workers(small_tvg_path, tmp_path, capsys):
+    for command, flags in SWEEPS:
+        for given in ((), ("--workers", "3")):
+            code, stdout, _ = run(capsys, command, str(small_tvg_path), *flags, *given,
+                                  "--out", str(tmp_path / "t.csv"))
+            assert code == 0
+            config = stdout.splitlines()[2]
+            assert config.startswith("# config: ") and "workers" not in config, (command, given)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "workers" not in capsys.readouterr().out, command
 
 
 def test_sweep_worker_count_invariance(small_tvg_path, tmp_path, capsys):
@@ -285,7 +299,7 @@ def test_sweep_worker_count_invariance(small_tvg_path, tmp_path, capsys):
 def test_dist_consistent_with_ct_csv(small_tvg_path, tmp_path, capsys):
     table_path = tmp_path / "ct.csv"
     run(capsys, "ct", str(small_tvg_path), "--tau", "0.2", "--range", "0:40",
-        "--workers", "1", "--out", str(table_path))
+        "--out", str(table_path))
     dist_path = tmp_path / "cdf.csv"
     code, _, _ = run(capsys, "dist", str(table_path), "--kind", "cdf",
                      "--out", str(dist_path))
@@ -304,7 +318,7 @@ def test_dist_consistent_with_ct_csv(small_tvg_path, tmp_path, capsys):
 def test_rank_matches_sorted_table(small_tvg_path, tmp_path, capsys):
     table_path = tmp_path / "tcc.csv"
     run(capsys, "tcc", str(small_tvg_path), "--phi", "10", "--range", "0:30",
-        "--workers", "1", "--out", str(table_path))
+        "--out", str(table_path))
     rank_path = tmp_path / "rank.csv"
     code, _, _ = run(capsys, "rank", str(table_path), "--metric", "tcc", "--k", "5",
                      "--out", str(rank_path))
@@ -319,7 +333,7 @@ def test_compare_end_to_end(small_tvg_path, tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code, stdout, _ = run(capsys, "compare", str(small_tvg_path), "--metric", "tcc",
                           "--phi", "10", "--k", "4", "--seed", "7", "--range", "0:30",
-                          "--workers", "1", "--out", str(out))
+                          "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "group,time_index,value"
@@ -329,8 +343,7 @@ def test_compare_end_to_end(small_tvg_path, tmp_path, capsys):
     # reruns are byte-identical
     out2 = tmp_path / "cmp2.csv"
     run(capsys, "compare", str(small_tvg_path), "--metric", "tcc", "--phi", "10",
-        "--k", "4", "--seed", "7", "--range", "0:30", "--workers", "1",
-        "--out", str(out2))
+        "--k", "4", "--seed", "7", "--range", "0:30", "--out", str(out2))
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -410,11 +423,11 @@ def test_every_command_prints_its_configuration_header(tmp_path, capsys, monkeyp
         ("ingest contacts.csv --granularity 10 --start 0 --out i.tvg",
          "input=contacts.csv granularity=10 start=0 end=None out=i.tvg"),
         ("ct g.tvg --tau 0.5 --range 0:10 --out ct.csv",
-         "input=g.tvg metric=ct tau=1/2 range=0:10 workers=0 out=ct.csv"),
+         "input=g.tvg metric=ct tau=1/2 range=0:10 out=ct.csv"),
         ("tcc g.tvg --phi 3 --workers 2 --out tcc.csv",
-         "input=g.tvg metric=tcc phi=3 range=0:17 workers=2 out=tcc.csv"),
+         "input=g.tvg metric=tcc phi=3 range=0:17 out=tcc.csv"),
         ("compare g.tvg --metric tcc --phi 2 --k 2 --seed 3 --out cmp.csv",
-         "input=g.tvg metric=tcc phi=2 k=2 seed=3 range=0:17 workers=0 out=cmp.csv"),
+         "input=g.tvg metric=tcc phi=2 k=2 seed=3 range=0:17 out=cmp.csv"),
         ("dist ct.csv --kind ccdf --out d.csv", "table=ct.csv kind=ccdf out=d.csv"),
         ("rank tcc.csv --metric tcc --k 3 --out rk.csv", "table=tcc.csv metric=tcc k=3 out=rk.csv"),
         ("churn g.tvg", "input=g.tvg"),
