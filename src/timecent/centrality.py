@@ -197,22 +197,16 @@ def spread_milestones(tvg: TVG, time: int, *, stop_count: int | None = None) -> 
 
     Returns per start node u a milestone list m where m[k] is the first
     step at which the diffusion from (u, time) had informed k+1 nodes
-    (m[0] == 0 always). Lists run until the snapshots run out; with
-    stop_count, only to the first step by which every start has informed
-    stop_count nodes, if there is one. They are the sorted rows of one
-    single-instant earliest_arrivals pass (arrival a is step a - time + 1)
-    through the last snapshot.
+    (m[0] == 0 always). Lists run until the snapshots run out. They are the
+    sorted rows of one single-instant earliest_arrivals pass (arrival a is
+    step a - time + 1) through the last snapshot. stop_count is accepted
+    and ignored.
     """
     if not 0 <= time < tvg.num_instants:
         raise ValueError(f"time {time} out of range [0,{tvg.num_instants})")
-    budget = tvg.num_instants - time
-    need = None if stop_count is None else max(stop_count, 1)
-    if need is not None and need > tvg.num_nodes:
-        need = None  # never met
     _, arrival, _ = next(earliest_arrivals(tvg, time, time + 1, tvg.num_instants - 1))
     steps = np.sort(arrival, axis=1).astype(np.int64) - (time - 1)
-    cut = budget if need is None else min(budget, int(steps[:, need - 1].max()))
-    counts = np.count_nonzero(steps <= cut, axis=1)
+    counts = np.count_nonzero(steps <= tvg.num_instants - time, axis=1)
     return [row[:k] for row, k in zip(steps.tolist(), counts.tolist())]
 
 

@@ -16,14 +16,12 @@ is not meant for sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .tvg import TVG, TemporalNode
 
 
-@dataclass(frozen=True)
-class ExpandedDigraph:
+class ExpandedDigraph(NamedTuple):
     """Static expansion of a TVG over temporal-node vertices.
 
     Vertex ids are time-major: (v, t) -> t * num_nodes + v, for t in
@@ -33,14 +31,6 @@ class ExpandedDigraph:
     num_nodes: int
     num_instants: int
     successors: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_vertices(self) -> int:
-        return self.num_nodes * (self.num_instants + 1)
-
-    @property
-    def num_arcs(self) -> int:
-        return sum(len(s) for s in self.successors)
 
 
 def expand(tvg: TVG) -> ExpandedDigraph:

@@ -28,11 +28,14 @@ def random_tvg(rng: random.Random, max_nodes: int = 10, max_instants: int = 12) 
     n = rng.randint(2, max_nodes)
     big_n = rng.randint(1, max_instants)
     p = rng.choice((0.1, 0.3, 0.6))
-    per_time = [
-        [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
-        for _ in range(big_n)
+    rows = [
+        (t, a, b)
+        for t in range(big_n)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < p
     ]
-    return TVG.from_snapshot_pairs(n, per_time)
+    return TVG(n, big_n, rows)
 
 
 def snapshot_adjacency(tvg: TVG, t: int) -> list[set[int]]:

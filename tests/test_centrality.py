@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from timecent import (
     MetricTable,
     TVG,
     TemporalNode,
+    check_top_k,
     compare_topk_random,
     cover_time,
     default_eval_range,
@@ -28,6 +30,7 @@ from timecent import (
     generate_er_tvg,
     median,
     metric_sweep,
+    oracle_reach,
     parse_contacts,
     rank_instants,
     reach_profile,
@@ -774,7 +777,7 @@ def test_pass_reports_the_rows_each_snapshot_rewrote(monkeypatch):
                 if previous is None:
                     assert rows.tolist() == list(range(tvg.num_nodes))
                 else:
-                    contact = {u for pair in tvg.snapshots[t].contact_list for u in pair}
+                    contact = set(tvg.edges[tvg.offsets[t] : tvg.offsets[t + 1], 1:].ravel().tolist())
                     assert sorted(rows.tolist()) == sorted(contact), (tvg, t)
                     kept = [u for u in range(tvg.num_nodes) if u not in contact]
                     expected = previous.copy()
@@ -887,3 +890,27 @@ def test_tcc_counts_the_rows_that_can_reach_in_sparse_windows_as_the_oracle_coun
         for tvg, first, last in cases + mixed:
             _assert_sweeps_match_oracle(tvg, first, last)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank_instants(table_of({}), 1), "empty metric table"),
+        (lambda: rank_instants(table_of({0: Fraction(1)}), 1),
+         "table has no metric kind; pass higher_is_better"),
+        (lambda: empirical_distribution(table_of({0: Fraction(1)}), "pdf"),
+         "unknown distribution kind 'pdf'"),
+        (lambda: median([]), "median of empty sequence"),
+        (lambda: check_top_k(0, 5), "k must be at least 1"),
+        (lambda: oracle_reach(expand(TVG(2, 2, [])), TemporalNode(0, 2), 1),
+         "start time 2 out of range [0,2)"),
+        (lambda: reach_profile(expand(TVG(2, 2, [])), TemporalNode(0, -1)),
+         "start time -1 out of range [0,2)"),
+    ],
+    ids=["rank-empty", "rank-no-metric", "dist-kind", "median-empty", "top-k-zero",
+         "oracle-reach-time", "reach-profile-time"],
+)
+def test_library_checks_name_the_fault(call, message):
+    """Checks the CLI never reaches: its own argument checks come first."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -36,7 +36,7 @@ def test_p_zero_gives_empty_snapshots():
 
 def test_p_one_gives_complete_snapshots():
     tvg = generate_er_tvg(ErTvgSpec(4, 3, 1.0, seed=1))
-    assert [len(s) for s in tvg.snapshots] == [6, 6, 6]
+    assert np.diff(tvg.offsets).tolist() == [6, 6, 6]
 
 
 def test_single_node_has_no_pairs():
@@ -123,9 +123,8 @@ def test_mean_contacts_matches_expectation():
 
 def test_contact_pairs_are_canonical():
     tvg = generate_er_tvg(ErTvgSpec(12, 30, 0.3, seed=3))
-    for snap in tvg.snapshots:
-        for a, b in snap.contact_list:
-            assert 0 <= a < b < 12
+    for a, b in tvg.edges[:, 1:].tolist():
+        assert 0 <= a < b < 12
 
 
 def test_pair_indices_map_to_lexicographic_pairs():

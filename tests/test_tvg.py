@@ -31,15 +31,15 @@ from conftest import random_tvg
 def test_build_tvg_one_contact_per_snapshot(chain4):
     assert chain4.num_nodes == 4
     assert chain4.num_instants == 3
-    assert [len(s) for s in chain4.snapshots] == [1, 1, 1]
-    assert set(chain4.snapshots[0].contact_list) == {(0, 1)}
-    assert set(chain4.snapshots[2].contact_list) == {(2, 3)}
+    assert chain4.offsets.tolist() == [0, 1, 2, 3]  # one contact per snapshot
+    assert chain4.edges.tolist() == [[0, 0, 1], [1, 1, 2], [2, 2, 3]]
 
 
 def test_build_tvg_empty():
     tvg = TVG(2, 1, [])
     assert tvg.num_instants == 1
-    assert len(tvg.snapshots[0]) == 0
+    assert tvg.offsets.tolist() == [0, 0]
+    assert tvg != object()  # __eq__ leaves a non-TVG to the other operand
 
 
 def test_build_tvg_deduplicates():
