@@ -8,9 +8,11 @@ bins are left-closed, so a boundary timestamp belongs to the later bin.
 
 `parse_contacts` reads the lines in one pass into a `ContactColumns`,
 skipping blank lines, and stops at the first bad line, so a bad log is
-refused before the rest of it is read. `discretize_with_stats` turns the
-columns into the TVG's (time, a, b) rows on whole columns; node i's
-label is `IngestStats.labels[i]`, since the TVG keeps no labels.
+refused before the rest of it is read. `discretize_with_stats` works on
+whole columns: it builds one int64 key per accepted record from its bin
+and its two label ids, and sorts that key into the TVG's edges with the
+TVG constructor's own helper. Node i's label is `IngestStats.labels[i]`,
+since the TVG keeps no labels.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .tvg import TVG, _integers, check_instants
+from .tvg import TVG, _integers, _sorted_unique, check_instants
 
 
 class ContactLogError(ValueError):
@@ -150,23 +152,22 @@ def discretize_with_stats(
     if max(-start, end, end - start, granularity) >= 1 << 63:
         timestamps = timestamps.astype(object)  # the window needs Python ints
     accepted = (timestamps >= start) & (timestamps <= end)
+    kept = int(np.count_nonzero(accepted))
     ids = defaultdict(count().__next__)  # a label new to it gets the next id
     # the ids of the accepted records' labels, interleaved a, b, in one pass
     labels = chain.from_iterable(compress(zip(label_a, label_b), accepted.tobytes()))
-    kept = np.count_nonzero(accepted)
-    pairs = np.fromiter(map(ids.__getitem__, labels), np.int64, 2 * kept).reshape(-1, 2)
-    del labels  # before the rows are allocated
-    pairs.sort(axis=1)
-    # int32: times are below 2^23 (check_instants), and an id past int32 wraps here but
-    # never reaches a TVG, since the constructor's check_nodes(len(ids)) refuses it first
-    rows = np.empty((len(pairs), 3), dtype=np.int32)
-    rows[:, 0] = (timestamps[accepted] - start) // granularity
-    rows[:, 1:] = pairs
-    del pairs
-    tvg = TVG(len(ids), num_instants, rows)
+    bins = timestamps[accepted]  # a copy: the bins are computed in place and become the key
+    bins -= start
+    bins //= granularity
+    # int32 ids: one past int32 needs over 2^30 records, whose columns alone take tens of GB
+    pairs = np.fromiter(map(ids.__getitem__, labels), np.int32, 2 * kept).reshape(-1, 2)
+    work = [bins.astype(np.int64, copy=False), pairs]
+    del bins, pairs  # so that _sorted_unique frees each once the key no longer needs it
+    edges = _sorted_unique(work, len(ids), num_instants)
+    tvg = TVG(len(ids), num_instants, edges)
     stats = IngestStats(
         records_read=len(timestamps),
-        records_rejected=len(timestamps) - len(rows),
+        records_rejected=len(timestamps) - kept,
         start_timestamp=start,
         end_timestamp=end,
         labels=list(ids),

@@ -91,22 +91,31 @@ def _first_invalid(rows: np.ndarray, num_nodes: int, num_instants: int) -> tuple
     return i, contact_error(*rows[i].tolist(), num_nodes, num_instants)
 
 
-def _sorted_unique(rows: np.ndarray, num_nodes: int, num_instants: int) -> np.ndarray:
-    """Valid (time, a, b) rows sorted without repeats, as int32: by one int64
-    key (t * n + a) * n + b, sorted in place, or by np.unique over the rows
-    once num_instants * num_nodes**2 passes 2**63 and that key would overflow."""
+def _sorted_unique(work: list, num_nodes: int, num_instants: int, rows=None) -> np.ndarray:
+    """Contacts sorted without repeats, as int32 (time, a, b) rows. `work` is a list
+    [time, pairs] that this empties, so that each array is freed once used: one int64
+    key (t * n + a) * n + b is built in place on `time`, or np.unique sorts once
+    num_instants * num_nodes**2 passes 2**63 and that key would overflow. Given `rows`,
+    whose valid rows (a < b) `pairs` views, `rows` itself comes back (C-ordered int32)
+    if in order without repeats; without it, each pair is ordered in place."""
+    key, pairs = work  # the times, until they become the key
+    work.clear()
+    if rows is None:
+        pairs.sort(axis=1)
     n = num_nodes
     if num_instants * n * n > 1 << 63:
-        return np.unique(rows, axis=0).astype(np.int32)
-    key = rows[:, 0].astype(np.int64)  # int32 rows would overflow; in place, one temporary
+        return np.unique(np.column_stack((key, pairs)), axis=0).astype(np.int32)
     key *= n
-    key += rows[:, 1]
+    key += pairs[:, 0]
     key *= n
-    key += rows[:, 2]
+    key += pairs[:, 1]
+    del pairs
     if (key[1:] > key[:-1]).all():  # in order, without repeats, as a saved file is
-        return np.ascontiguousarray(rows, dtype=np.int32)  # C-ordered int32 rows as they are
-    key.sort()
-    key = key[np.r_[True, key[1:] != key[:-1]]]  # drop repeats (key is not empty here)
+        if rows is not None:
+            return np.ascontiguousarray(rows, dtype=np.int32)
+    else:
+        key.sort()
+        key = key[np.r_[True, key[1:] != key[:-1]]]  # drop repeats (key is not empty here)
     edges = np.empty((len(key), 3), dtype=np.int32)
     np.divmod(key, n, out=(key, edges[:, 2]))
     np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
@@ -179,9 +188,12 @@ class TVG:
         invalid = _first_invalid(rows, num_nodes, num_instants)
         if invalid is not None:
             raise ValueError(invalid[1])
-        edges = _sorted_unique(rows, num_nodes, num_instants)
+        # the key is built on an int64 copy of the times: int32 rows would overflow it
+        work = [rows[:, 0].astype(np.int64), rows[:, 1:]]
+        edges = _sorted_unique(work, num_nodes, num_instants, rows)
         # offsets[t]: contacts before instant t, summed in place
-        offsets = np.bincount(edges[:, 0] + 1, minlength=num_instants + 1)
+        offsets = np.zeros(num_instants + 1, dtype=np.int64)
+        offsets[1:] = np.bincount(edges[:, 0], minlength=num_instants)
         np.cumsum(offsets, out=offsets)
         edges.flags.writeable = False
         offsets.flags.writeable = False

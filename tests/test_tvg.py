@@ -26,6 +26,7 @@ from timecent import (
     save_tvg,
 )
 from conftest import random_tvg
+from edge_markovian import edge_markovian_rows
 
 
 def test_build_tvg_one_contact_per_snapshot(chain4):
@@ -113,11 +114,13 @@ def test_constructor_holds_less_than_its_rows():
 
 
 def test_constructor_takes_no_int64_copy_of_int32_rows():
-    # 12.2 B a row in order and 11.0 shuffled measured, where an int64 copy of the rows
-    # took 48.2 and 35.0
-    for rows in _constructor_rows():
-        rows = rows.astype(np.int32)
-        assert _constructor_peak(rows) < 16 * len(rows)
+    # 11.0 B a row shuffled measured, where an int64 copy of the rows took 35.0
+    shuffled, in_order = (rows.astype(np.int32) for rows in _constructor_rows())
+    assert _constructor_peak(shuffled) < 16 * len(shuffled)
+    # in order: 9.4 B a row measured, the int64 key and its order check; the offsets'
+    # int32 `edges[:, 0] + 1` copy beside bincount's int64 one took 12.2, an int64
+    # copy of the rows 48.2
+    assert _constructor_peak(in_order) < 10 * len(in_order)
 
 
 def test_constructor_keeps_int32_rows_in_order_as_its_edges():
@@ -371,6 +374,20 @@ def churn_tvgs(draw):
 @example(TVG(3, 3, [(2, 0, 1), (0, 0, 2)]))
 def test_churn_rate_matches_its_definition(tvg):
     assert churn_rate(tvg) == _churn_by_sets(tvg)
+
+
+# (p, q, sd): the sd of churn_rate over seeds 0-199 of edge_markovian_rows at n = 60, N = 400
+_EDGE_MARKOVIAN = ((0.05, 0.3, 0.0017), (0.05, 0.05, 0.0007), (0.1, 0.9, 0.0006))
+
+
+@pytest.mark.parametrize("p, q, sd", _EDGE_MARKOVIAN)
+def test_churn_rate_of_edge_markovian_snapshots(p, q, sd):
+    # From the stationary share pi = p / (p + q), a pair is active at t or t + 1 with
+    # probability 1 - (1 - pi)(1 - p) = p(1 + q) / (p + q) and flips with probability
+    # pi q + (1 - pi) p = 2pq / (p + q), so churn is 2q / (1 + q), whatever p. The band
+    # is 5 sd; q at 1.1 q or 0.9 q moves the mean by 13 to 87 sd.
+    tvg = TVG(60, 400, edge_markovian_rows(60, 400, p, q, np.random.default_rng(1)))
+    assert abs(float(churn_rate(tvg)) - 2 * q / (1 + q)) < 5 * sd
 
 
 def test_churn_rate_whatever_the_node_count():
