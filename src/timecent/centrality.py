@@ -274,14 +274,11 @@ def metric_sweep(
     reached. A diffusion from (u, t), t < last - 1, still holds u at
     last - 1, so it meets the threshold no later than the one from
     (u, last - 1). tcc counts the arrivals within phi steps and reads no
-    snapshot past the last instant's budget. Instant t reuses the count of
-    instant t + 1 when snapshot t is empty (only the diagonal moved) and no
-    arrival leaves the budget: it ends at top, as t + 1's did, or snapshot
-    within + 1 is empty. Where t..within holds fewer contact ends than rows,
-    a row without a contact there counts its diagonal alone, so the count
-    reads only the other rows if they are at most half. Both metrics keep
-    one int per instant (ct's is None while a start is short of the
-    threshold) and make one Fraction per distinct int after the pass.
+    snapshot past the last instant's budget. A row whose node has no contact
+    in t..within counts its diagonal alone, so the count reads only the
+    other rows if they are at most half, and the whole matrix if not. Both
+    metrics keep one int per instant (ct's is None while a start is short
+    of the threshold) and make one Fraction per distinct int after the pass.
     """
     n = tvg.num_nodes
     if n == 0:
@@ -319,29 +316,18 @@ def metric_sweep(
     else:
         phi, offsets = metric.phi, tvg.offsets
         top = min(tvg.num_instants - 1, last - 2 + phi)
-        # per instant t in pass order; ends is offsets[within + 1], within = min(t - 1 + phi, top)
-        times = np.arange(last - 1, first - 1, -1)
-        ends = offsets[np.minimum(times + phi, top + 1)]
-        leaves = (ends < offsets[np.minimum(times + phi + 1, top + 1)]).tolist()
-        sparse = 2 * (ends - offsets[times]) < n  # t..within: fewer contact ends than rows
-        del times, ends
-        nxt = None  # per node, its first contact in snapshots t..top, or top + 1
-        if sparse.any():
-            nxt = np.full(n, top + 1)
-            block = tvg.edges[offsets[last - 1] : offsets[top + 1]]
-            np.minimum.at(nxt, block[:, 1:], block[:, :1])
-        passes = earliest_arrivals(tvg, first, last, top)
-        for (t_i, arrival, rows), leave, thin in zip(passes, leaves, sparse.tolist()):
+        nxt = np.full(n, top + 1)  # per node, its first contact in snapshots t..top, or top + 1
+        block = tvg.edges[offsets[last - 1] : offsets[top + 1]]
+        np.minimum.at(nxt, block[:, 1:], block[:, :1])
+        for t_i, arrival, rows in earliest_arrivals(tvg, first, last, top):
             within = min(t_i - 1 + phi, top)  # no arrival exceeds top
-            if nxt is not None and t_i < last - 1:  # the first yield names every row
+            if t_i < last - 1:  # the first yield names every row
                 nxt[rows] = t_i
-            # only an arrival at within + 1 leaves the budget, and it needs a contact there
-            if len(rows) or leave:
-                active = (nxt <= within).nonzero()[0] if thin else None
-                if thin and 2 * len(active) <= n:  # so the copy holds at most half the matrix
-                    count = n - len(active) + int(np.count_nonzero(arrival.take(active, 0) <= within))
-                else:
-                    count = int(np.count_nonzero(arrival <= within))
+            active = (nxt <= within).nonzero()[0]
+            if 2 * len(active) <= n:  # so the copy holds at most half the matrix
+                count = n - len(active) + int(np.count_nonzero(arrival.take(active, 0) <= within))
+            else:
+                count = int(np.count_nonzero(arrival <= within))
             ints.append(count)
             unreached.append(0)
     denom = n if metric.kind == "ct" else n * n  # ct: steps over n starts; tcc: pairs of n * n

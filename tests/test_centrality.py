@@ -52,6 +52,7 @@ from timecent.tables import (
 )
 from timecent.tvg import MAX_SWEEP_NODES
 from conftest import random_tvg
+from edge_markovian import edge_markovian_rows
 
 
 def table_of(values, metric=None, unreached=None):
@@ -277,22 +278,24 @@ def test_metric_sweep_and_single_instant_metrics_refuse_nodes_over_the_cap():
 
 
 def test_single_instant_metrics_hold_memory_near_one_arrival_matrix():
-    # 2048 nodes: one int16 arrival matrix is 8 MiB; 512 contacts per snapshot
+    # 2048 nodes: one int16 arrival matrix is 8 MiB; 512 contacts per snapshot over all
+    # nodes, then 2048 among 800 nodes, so that tcc copies the 800 active rows (3.2 MB)
     rng = random.Random(7)
     n, big_n = 2048, 12
-    rows = sorted({(t, *sorted(rng.sample(range(n), 2))) for t in range(big_n) for _ in range(n // 4)})
-    tvg = TVG(n, big_n, rows)
-    for call in (
-        lambda: cover_time(tvg, 1, "0.5"),
-        lambda: tcc(tvg, 1, 3),
-    ):
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
+    for spread, contacts in ((n, n // 4), (800, n)):
+        rows = {(t, *sorted(rng.sample(range(spread), 2))) for t in range(big_n) for _ in range(contacts)}
+        tvg = TVG(n, big_n, sorted(rows))
+        for call in (
+            lambda: cover_time(tvg, 1, "0.5"),
+            lambda: tcc(tvg, 1, 3),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 20 * 2**20, spread
 
 
 def test_ct_sweep_holds_no_partitioned_copy_into_the_next_snapshot():
@@ -819,9 +822,9 @@ def _sparse_tvg(rng, n, big_n, busy):
     return TVG(n, big_n, sorted(rows))
 
 
-def test_tcc_reuses_counts_across_empty_snapshots_as_the_oracle_counts(monkeypatch):
-    # an instant whose snapshot is empty reuses the next instant's count unless
-    # snapshot within + 1 holds contacts, which only a budget short of top reaches
+def test_tcc_over_runs_of_empty_snapshots_across_chunks_matches_the_oracle(monkeypatch):
+    # across an empty snapshot only the diagonal moves, and an arrival leaves the
+    # budget where snapshot within + 1 holds contacts, which only a budget short of top reaches
     rng = random.Random(1919)
     cases = []
     for s in (1, 4, 9):  # the only contacts sit at s: within + 1 = s at instant s - phi
@@ -861,35 +864,63 @@ def _windows(tvg, first, last, phis=range(1, 7)):
 
 
 def test_tcc_counts_the_rows_that_can_reach_in_sparse_windows_as_the_oracle_counts(monkeypatch):
-    # in a window t..within of fewer contact ends than rows, a row whose node has no
-    # contact there counts its diagonal alone, and the count reads the other rows if
-    # they are at most half; every other window is counted whole
+    # a row whose node has no contact in t..within counts its diagonal alone; the count
+    # reads the other rows if they are at most half, and the whole matrix if not
     rng = random.Random(3131)
     cases, mixed = [], []
-    for n in (16, 25, 40):  # at most 2 contacts a snapshot: every window of phi < n / 4 is sparse
+    # at most 2 contacts a snapshot: every window of phi <= n / 8 has at most n / 2 active rows
+    for n in (16, 25, 40):
         tvg = _thin_tvg(rng, n, 14)
         cases += [(tvg, 0, 14), (tvg, 2, 9)]
     for _ in range(3):  # dense snapshots among thin ones: windows switch within a range
         tvg = _thin_tvg(rng, 16, 14, dense=set(rng.sample(range(14), 3)))
         mixed += [(tvg, 0, 14), (tvg, rng.randrange(5), rng.randint(6, 13))]
-    # snapshot 3 is a matching of 14 of 16 nodes: 14 contact ends, fewer than the rows,
-    # yet 14 active rows, more than half, so the count at instant 3 with phi 1 is whole
+    # snapshot 3 is a matching of 14 of 16 nodes: 14 active rows, more than half,
+    # so the count at instant 3 with phi 1 is whole
     matching = TVG(16, 6, [(1, 0, 1), *((3, 2 * a, 2 * a + 1) for a in range(1, 8))])
     assert _windows(matching, 3, 4, [1]) == [(14, 14)]
     cases += [(matching, 0, 6), (matching, 1, 5)]
+    # snapshot 2 is a clique on 6 of 16 nodes: 30 contact ends, more than the rows,
+    # yet 6 active rows, so the count at instant 2 with phi 1 reads those rows alone
+    clique = TVG(16, 6, [(2, a, b) for a in range(3, 9) for b in range(a + 1, 9)] + [(4, 0, 1)])
+    assert _windows(clique, 2, 3, [1]) == [(30, 6)]
+    cases += [(clique, 0, 6), (clique, 1, 5)]
     # node 0 meets someone at 3 and at 5, the top of a phi 3 sweep of [0, 4): its next
     # contact from instant 2 on is 3, the earlier of two writes to one index
     cases.append((TVG(16, 8, [(3, 0, 1), (5, 0, 2)]), 0, 4))
     for tvg, first, last in cases + mixed:  # a window whose count reads the active rows alone
         n = tvg.num_nodes
-        assert any(0 < 2 * active <= n for ends, active in _windows(tvg, first, last) if ends < n)
+        assert any(0 < 2 * active <= n for _, active in _windows(tvg, first, last))
     for tvg, first, last in mixed:  # and a window counted whole
-        assert any(ends >= tvg.num_nodes for ends, _ in _windows(tvg, first, last))
+        assert any(2 * active > tvg.num_nodes for _, active in _windows(tvg, first, last))
     for chunk in (1, 2, 5, centrality._CHUNK):  # ranges ending at N (within clipped to top) and before
         monkeypatch.setattr(centrality, "_CHUNK", chunk)
         for tvg, first, last in cases + mixed:
             _assert_sweeps_match_oracle(tvg, first, last)
         monkeypatch.undo()
+
+
+# (p, q, N, sd): the sd of the mean of tcc(t, 2) over instants 0..N-2 of edge_markovian_rows
+# at n = 60, over seeds 0-199 (N = 400) or 0-99 (N = 1500)
+_EDGE_MARKOVIAN_TCC = ((0.05, 0.6, 400, 0.0030), (0.02, 0.2, 400, 0.0067),
+                       (0.003, 0.3, 1500, 0.00030))
+
+
+@pytest.mark.parametrize("p, q, big_n, sd", _EDGE_MARKOVIAN_TCC)
+def test_tcc_2_of_edge_markovian_snapshots_matches_its_closed_form(p, q, big_n, sd):
+    # From (u, t), v is still uninformed after step 2 iff uv is absent at t and at t + 1,
+    # w.p. (1 - pi)(1 - p) from the stationary share pi = p / (p + q), and for each of the
+    # n - 2 other nodes w, uw at t and wv at t + 1 are not both present, w.p. 1 - pi^2 on
+    # pairs distinct from each other and from uv. So for t <= N - 2, E[tcc(t, 2)] =
+    # (1 + (n - 1)(1 - (1 - pi)(1 - p)(1 - pi^2)^(n - 2))) / n. Every window of the first
+    # two cases is counted whole; in the third, 505 of 1,499 instants count active rows
+    # alone at seed 1. The band is 4 sd; p or q at 1.1 or 0.9 times moves the mean 4.9 to
+    # 16.7 sd.
+    n, pi = 60, p / (p + q)
+    tvg = TVG(n, big_n, edge_markovian_rows(n, big_n, p, q, np.random.default_rng(1)))
+    values = metric_sweep(tvg, MetricSpec.tcc(2), (0, big_n - 1)).values
+    model = (1 + (n - 1) * (1 - (1 - pi) * (1 - p) * (1 - pi * pi) ** (n - 2))) / n
+    assert abs(float(sum(values.values()) / len(values)) - model) < 4 * sd
 
 
 @pytest.mark.parametrize(

@@ -347,6 +347,29 @@ def test_compare_end_to_end(small_tvg_path, tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("phi", [10**20, 2**63 - 1])
+def test_tcc_budget_past_int64_counts_as_the_whole_tvg(small_tvg_path, tmp_path, capsys, phi):
+    # a budget of N steps reaches the last snapshot from every instant, so any larger one
+    # gives the same table; phi + t must not pass through a fixed-width integer
+    tvg = timecent.load_tvg(small_tvg_path)
+    big_n = tvg.num_instants
+    for first, last in ((0, 12), (40, big_n)):
+        huge, whole = (timecent.metric_sweep(tvg, timecent.MetricSpec.tcc(budget), (first, last))
+                       for budget in (phi, big_n))
+        assert (huge.values, huge.unreached_starts) == (whole.values, whole.unreached_starts)
+        assert timecent.tcc(tvg, first, phi) == timecent.tcc(tvg, first, big_n)
+        compare = ("--metric", "tcc", "--k", "3", "--seed", "7")
+        for command, flags in (("tcc", ()), ("compare", compare)):
+            outs = []
+            for budget in (phi, big_n):
+                outs.append(tmp_path / f"{command}-{budget}.csv")
+                code, _, err = run(capsys, command, str(small_tvg_path), *flags,
+                                   "--phi", str(budget), "--range", f"{first}:{last}",
+                                   "--out", str(outs[-1]))
+                assert code == 0, err
+            assert outs[0].read_bytes() == outs[1].read_bytes(), (command, first, last)
+
+
 def test_compare_refuses_a_range_too_small_for_k_before_sweeping(small_tvg_path, tmp_path,
                                                                  capsys, monkeypatch):
     def sweep(*args, **kwargs):
